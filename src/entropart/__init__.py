@@ -48,7 +48,6 @@ from .optimizer import (
     volume_variance,
 )
 from .partition import (
-    Bin,
     Partition,
     bin_volumes,
     build_equiprobable,
@@ -60,7 +59,6 @@ from .partition import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bin",
     "BoundingBox",
     "CovarianceSpec",
     "DegeneratePartitionError",

@@ -75,13 +75,6 @@ def entropy_histogram(counts, volumes, n_total: int) -> float:
     return float(-np.sum(p * np.log2(p / volumes[mask])))
 
 
-def count_degenerate_bins(counts, volumes) -> int:
-    """Number of occupied bins with zero volume (excluded from the plug-in sum)."""
-    counts = np.asarray(counts, dtype=float).ravel()
-    volumes = np.asarray(volumes, dtype=float).ravel()
-    return int(np.count_nonzero((counts > 0) & (volumes == 0)))
-
-
 def entropy_equiprobable(partition: Partition) -> float:
     """Volume-product entropy of an equiprobable partition, in bits.
 

@@ -34,11 +34,14 @@ from .geometry import (
     mrp_from_angle_2d,
     normalize_angle,
     rotate,
-    rotation_matrix,
 )
-from .partition import Partition, _build_cells, bin_volumes, build_equiprobable
+from .partition import Partition, bin_volumes, build_equiprobable, leaf_boxes
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+# rotated points per kernel call in the 2-D search: a batch holds
+# max(1, BATCH_SAMPLES // N) angles, which bounds its memory at any N
+BATCH_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -138,41 +141,45 @@ def _optimise_2d(samples, depth, config, cycle_order):
     order = tuple(range(samples.d)) if cycle_order is None else tuple(cycle_order)
     centred = samples.data - samples.barycentre
 
-    def objective(theta: float) -> float:
-        # mirrors rotate() + build + normalized variance bit for bit, minus
-        # the container bookkeeping; see test_optimizer for the equality check
-        rot = mrp_from_angle_2d(normalize_angle(theta))
-        rotated = centred @ rotation_matrix(rot, 2).T
-        cells = _build_cells(rotated, rotated.min(axis=0), rotated.max(axis=0), depth, order)
-        vols = np.array([np.prod(hi - lo) for lo, hi, _ in cells])
-        total = vols.sum()
-        if total <= 0.0:
-            raise DegeneratePartitionError("rotated samples span a zero-volume support")
-        return float(np.var(vols / total))
+    def objective(thetas) -> list[float]:
+        return _planar_variances(centred, thetas, depth, order)
 
     scan_angles = [TWO_PI * i / config.scan_points for i in range(config.scan_points)]
-    scan_values = [objective(a) for a in scan_angles]
+    extra = _eigenvector_angles_2d(samples) if config.eigenvector_start and samples.n >= 2 else []
+    angles = scan_angles + extra
+    values = objective(angles)
 
     # (variance, canonical angle, converged); smallest-angle wins exact ties
-    candidates = [
-        (value, normalize_angle(angle), True)
-        for value, angle in zip(scan_values, scan_angles)
-    ]
-    seeds = _best_basin_seeds(scan_values, scan_angles, config.starts)
-    if config.eigenvector_start and samples.n >= 2:
-        extra = _eigenvector_angles_2d(samples)
-        candidates.extend((objective(a), normalize_angle(a), True) for a in extra)
-        seeds.extend(extra)
+    candidates = [(value, normalize_angle(angle), True) for value, angle in zip(values, angles)]
+    seeds = _best_basin_seeds(values[: len(scan_angles)], scan_angles, config.starts) + extra
 
-    half_width = TWO_PI / config.scan_points
-    for seed in seeds:
-        theta, value, converged = _golden_section(
-            objective, seed - half_width, seed + half_width, config.max_iterations, config.tolerance
-        )
-        candidates.append((value, normalize_angle(theta), converged))
+    step = TWO_PI / config.scan_points  # each polish brackets one scan step either side
+    runs = [
+        _golden_section(s - step, s + step, config.max_iterations, config.tolerance) for s in seeds
+    ]
+    candidates += [(value, normalize_angle(x), ok) for x, value, ok in _lockstep(objective, runs)]
 
     variance, angle, converged = min(candidates, key=lambda c: (c[0], c[1]))
     return angle, converged
+
+
+def _planar_variances(centred, thetas, depth, order) -> list[float]:
+    """``volume_variance`` of the centred sample at each angle, bit for bit, in batches."""
+    # the matrices rotation_matrix(mrp_from_angle_2d(normalize_angle(theta)), 2) builds
+    tan = np.tan(np.array([normalize_angle(theta) for theta in thetas]) / 4.0)
+    angles = 4.0 * np.arctan(np.sqrt(tan * tan))
+    cos, sin = np.cos(angles), np.sin(angles)
+    matrices = np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2).transpose(0, 2, 1)
+    batch = max(1, BATCH_SAMPLES // len(centred))
+    variances = []
+    for start in range(0, len(thetas), batch):
+        lower, upper, _ = leaf_boxes(centred @ matrices[start : start + batch], depth, order)
+        vols = np.prod(upper - lower, axis=2)
+        total = vols.sum(axis=1, keepdims=True)
+        if np.any(total <= 0.0):
+            raise DegeneratePartitionError("rotated samples span a zero-volume support")
+        variances.extend(np.var(vols / total, axis=1).tolist())
+    return variances
 
 
 def _best_basin_seeds(values, angles, starts: int) -> list[float]:
@@ -198,34 +205,49 @@ def _eigenvector_angles_2d(samples) -> list[float]:
     return [normalize_angle(-phi), normalize_angle(np.pi / 2.0 - phi)]
 
 
-def _golden_section(f, a, b, max_iterations, tolerance):
-    """Golden-section minimization on [a, b]; returns the best probed point.
+def _golden_section(a, b, max_iterations, tolerance):
+    """Golden-section minimization on [a, b], as a generator.
 
-    The best (value, point) over all probes is reported, so the result can
+    It yields each point to probe, is sent the objective there, and returns
+    ``(point, value, converged)``: the best probe overall, so the result can
     only improve on the bracket seeds even if the bracket is not unimodal.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    converged = False
     for _ in range(max_iterations):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = f(d)
+            fd = yield d
         if fc <= best_f:
             best_x, best_f = c, fc
         if fd < best_f:
             best_x, best_f = d, fd
         if (b - a) <= 1e-12 or abs(fc - fd) <= tolerance:
-            converged = True
-            break
-    return best_x, best_f, converged
+            return best_x, best_f, True
+    return best_x, best_f, False
+
+
+def _lockstep(objective, runs) -> list[tuple]:
+    """Run golden-section generators in rounds of one ``objective`` call; return their results."""
+    results = [None] * len(runs)
+    pending = {i: run.send(None) for i, run in enumerate(runs)}
+    while pending:
+        live = list(pending)
+        for i, value in zip(live, objective([pending[i] for i in live])):
+            try:
+                pending[i] = runs[i].send(value)
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
 
 
 def _optimise_3d(samples, depth, config, cycle_order):

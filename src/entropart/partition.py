@@ -21,25 +21,22 @@ from .geometry import BoundingBox, SampleSet
 # beyond this depth bivariate bins hold too few samples to be informative
 MAX_RECOMMENDED_BIVARIATE_DEPTH = 4
 
-# smaller cells keep the stable argsort in the median split: argpartition
-# saves nothing there and is often slower (up to a third at 25-128 points)
+# smaller cells keep the stable argsort in the median split: for one row, selecting
+# the median saves nothing there and is often slower (up to a third at 25-128 points)
 ARGPARTITION_MIN_CELL = 256
 
 
 @dataclass(frozen=True)
-class Bin:
-    """A leaf cell: bounds, the number of samples inside, and its volume."""
-
-    bounds: BoundingBox
-    count: int
-    volume: float
-
-
-@dataclass(frozen=True)
 class Partition:
-    """A complete depth-``s`` binary tree over ``d`` dimensions, kept as its leaves."""
+    """A complete depth-``s`` binary tree over ``d`` dimensions, kept as its leaves.
 
-    bins: tuple[Bin, ...]
+    Leaf ``i`` is the box ``lower[i]``..``upper[i]`` holding ``counts[i]``
+    samples; every split lists its left child before its right.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    counts: np.ndarray
     depth: int
     dims: int
     cycle_order: tuple[int, ...]
@@ -47,15 +44,7 @@ class Partition:
 
     @property
     def bin_count(self) -> int:
-        return len(self.bins)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([b.count for b in self.bins])
-
-    @property
-    def total_count(self) -> int:
-        return int(self.counts.sum())
+        return len(self.counts)
 
 
 def median_split(points, dim: int):
@@ -76,31 +65,68 @@ def median_split(points, dim: int):
         raise PreconditionError("median split requires at least 2 points")
     if not 0 <= dim < pts.shape[1]:
         raise PreconditionError(f"dimension index {dim} out of range for d={pts.shape[1]}")
-    left_idx, right_idx, split = _median_split_indices(pts[:, dim], np.arange(m))
-    left, right = pts[left_idx], pts[right_idx]
+    left_idx, right_idx, split = _split_rows(pts[:, dim], np.arange(m).reshape(1, m))
+    left, right = pts[left_idx[0]], pts[right_idx[0]]
     if squeeze:
         left, right = left.ravel(), right.ravel()
-    return left, right, split
+    return left, right, float(split[0])
 
 
-def _median_split_indices(coords: np.ndarray, idx: np.ndarray):
-    """Split an index set by the median of ``coords[idx]``; ties keep input-index rank.
+def _split_rows(values_flat: np.ndarray, idx: np.ndarray):
+    """Median-split each ascending row of the (A, m) index matrix ``idx`` into ``values_flat``.
 
-    Large cells select the two straddling order statistics instead of
-    sorting.  When they differ the k smallest values are the same set under
-    any order, so the result equals the stable sort's; when they tie, only
-    the stable sort knows which tied rows go left.
+    Returns left and right index matrices, rows ascending, and the (A,) split
+    coordinates.  Large cells select the two straddling order statistics;
+    where they tie, only a stable sort of the row knows which tied rows go left.
     """
-    values = coords[idx]
-    k = (len(idx) + 1) // 2
-    if len(idx) >= ARGPARTITION_MIN_CELL:
-        part = np.argpartition(values, (k - 1, k))
-        below, above = values[part[k - 1]], values[part[k]]
-        if below != above:
-            return np.sort(idx[part[:k]]), np.sort(idx[part[k:]]), float(0.5 * (below + above))
-    order = np.argsort(values, kind="stable")
-    split = 0.5 * (values[order[k - 1]] + values[order[k]])
-    return np.sort(idx[order[:k]]), np.sort(idx[order[k:]]), float(split)
+    values = values_flat.take(idx)
+    a, m = values.shape
+    k = (m + 1) // 2
+    if m >= ARGPARTITION_MIN_CELL:
+        straddle = np.partition(values, (k - 1, k), axis=1)
+        below, above = straddle[:, k - 1], straddle[:, k]
+        right = values > below[:, None]
+        for row in np.flatnonzero(below == above):  # the sort also orders -0.0 and 0.0
+            order = values[row].argsort(kind="stable")
+            below[row], above[row] = values[row, order[k - 1]], values[row, order[k]]
+            right[row, order[:k]], right[row, order[k:]] = False, True
+        # flat positions of each side come row by row, ascending
+        left_idx = idx.take((~right).ravel().nonzero()[0]).reshape(a, k)
+        right_idx = idx.take(right.ravel().nonzero()[0]).reshape(a, m - k)
+        return left_idx, right_idx, 0.5 * (below + above)
+    # flat offsets: take beats 2-D fancy indexing
+    order = values.argsort(axis=1, kind="stable") + m * np.arange(a)[:, None]
+    below, above = values.take(order[:, k - 1]), values.take(order[:, k])
+    moved = idx.take(order)
+    moved[:, :k].sort(axis=1)
+    moved[:, k:].sort(axis=1)
+    return moved[:, :k], moved[:, k:], 0.5 * (below + above)
+
+
+def leaf_boxes(points: np.ndarray, depth: int, order):
+    """Leaves of the equiprobable trees of A point sets of shape (A, N, d), such as A rotations.
+
+    Cell sizes depend only on N and the split schedule, so each cell is split
+    for all A sets at once.  Returns ``lower`` and ``upper`` of shape (A, B, d),
+    each root box being its set's bounding box, and ``counts`` of shape (B,).
+    """
+    a, n, d = points.shape
+    columns = np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(d, a * n)
+    by_set = columns.reshape(d, a, n)  # reducing the contiguous axis is much the fastest
+    cells = [(by_set.min(axis=2).T, by_set.max(axis=2).T, np.arange(a * n).reshape(a, n))]
+    for _ in range(depth):
+        for dim in order:
+            split_cells = []
+            for lo, hi, idx in cells:
+                left, right, split = _split_rows(columns[dim], idx)
+                left_hi, right_lo = hi.copy(), lo.copy()
+                left_hi[:, dim] = right_lo[:, dim] = split
+                split_cells += [(lo, left_hi, left), (right_lo, hi, right)]
+            cells = split_cells
+    # C order keeps the row reductions of the volumes in numpy's pairwise order
+    lower = np.ascontiguousarray(np.array([lo for lo, _, _ in cells]).swapaxes(0, 1))
+    upper = np.ascontiguousarray(np.array([hi for _, hi, _ in cells]).swapaxes(0, 1))
+    return lower, upper, np.array([idx.shape[1] for _, _, idx in cells])
 
 
 def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Partition:
@@ -131,36 +157,13 @@ def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Part
             stacklevel=2,
         )
 
-    support = samples.bounding_box
-    cells = _build_cells(samples.data, support.lower, support.upper, depth, order)
-    bins = tuple(
-        Bin(bounds=BoundingBox(lo, hi), count=len(idx), volume=float(np.prod(hi - lo)))
-        for lo, hi, idx in cells
-    )
-    return Partition(bins=bins, depth=depth, dims=d, cycle_order=order, support=support)
-
-
-def _build_cells(data: np.ndarray, lower: np.ndarray, upper: np.ndarray, depth: int, order):
-    """Recursively split (bounds, index-set) cells; returns a list of (lo, hi, idx)."""
-    cells = [(lower.copy(), upper.copy(), np.arange(data.shape[0]))]
-    for _ in range(depth):
-        for dim in order:
-            split_cells = []
-            for lo, hi, idx in cells:
-                left_idx, right_idx, split = _median_split_indices(data[:, dim], idx)
-                left_hi = hi.copy()
-                left_hi[dim] = split
-                right_lo = lo.copy()
-                right_lo[dim] = split
-                split_cells.append((lo, left_hi, left_idx))
-                split_cells.append((right_lo, hi, right_idx))
-            cells = split_cells
-    return cells
+    lower, upper, counts = leaf_boxes(samples.data[None], depth, order)
+    return Partition(lower[0], upper[0], counts, depth, d, order, samples.bounding_box)
 
 
 def bin_volumes(partition: Partition, normalize: bool = False) -> np.ndarray:
     """Leaf volumes, raw or divided by the total so they sum to one."""
-    vols = np.array([b.volume for b in partition.bins])
+    vols = np.prod(partition.upper - partition.lower, axis=1)
     if not normalize:
         return vols
     total = vols.sum()
@@ -180,35 +183,39 @@ def partition_to_dict(partition: Partition) -> dict:
         "dims": partition.dims,
         "cycle_order": list(partition.cycle_order),
         "bins": [
-            {
-                "lower": b.bounds.lower.tolist(),
-                "upper": b.bounds.upper.tolist(),
-                "count": b.count,
-                "volume": b.volume,
-            }
-            for b in partition.bins
+            {"lower": lo, "upper": hi, "count": count, "volume": volume}
+            for lo, hi, count, volume in zip(
+                partition.lower.tolist(),
+                partition.upper.tolist(),
+                partition.counts.tolist(),
+                bin_volumes(partition).tolist(),
+            )
         ],
     }
 
 
 def partition_from_dict(doc: dict) -> Partition:
-    """Rebuild a partition from :func:`partition_to_dict` output."""
+    """Rebuild a partition from :func:`partition_to_dict` output.
+
+    Raises :class:`PreconditionError` for every malformed document,
+    including ragged, inverted or non-finite bin bounds and a stored volume
+    that is not exactly the product of its bin's widths.
+    """
     try:
         support = BoundingBox(np.array(doc["support"]["lower"]), np.array(doc["support"]["upper"]))
-        bins = tuple(
-            Bin(
-                bounds=BoundingBox(np.array(b["lower"]), np.array(b["upper"])),
-                count=int(b["count"]),
-                volume=float(b["volume"]),
-            )
-            for b in doc["bins"]
-        )
-        return Partition(
-            bins=bins,
-            depth=int(doc["depth"]),
-            dims=int(doc["dims"]),
-            cycle_order=tuple(int(i) for i in doc["cycle_order"]),
-            support=support,
-        )
-    except (KeyError, TypeError) as exc:
+        bins = doc["bins"]
+        lower = np.array([b["lower"] for b in bins], dtype=float)
+        upper = np.array([b["upper"] for b in bins], dtype=float)
+        counts = np.array([int(b["count"]) for b in bins])
+        volumes = np.array([float(b["volume"]) for b in bins])
+        tree = (int(doc["depth"]), int(doc["dims"]), tuple(int(i) for i in doc["cycle_order"]))
+        partition = Partition(lower, upper, counts, *tree, support)
+    except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed partition document: {exc}") from exc
+    if lower.ndim != 2 or lower.shape != upper.shape or not np.all(
+        np.isfinite(lower) & np.isfinite(upper) & (lower <= upper)
+    ):
+        raise PreconditionError("malformed partition document: bad bin bounds")
+    if not np.array_equal(volumes, bin_volumes(partition)):
+        raise PreconditionError("malformed partition document: volume is not the product of widths")
+    return partition

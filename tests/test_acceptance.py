@@ -211,12 +211,7 @@ def test_criterion_9_partition_structural_suite():
             assert p.bin_count == 2 ** (depth * d)
             assert bin_volumes(p).sum() == pytest.approx(p.support.volume, rel=1e-9)
             assert p.counts.max() - p.counts.min() <= d * depth
-            recounted = recount_by_membership(
-                s.data,
-                [b.bounds.lower for b in p.bins],
-                [b.bounds.upper for b in p.bins],
-                p.support.upper,
-            )
+            recounted = recount_by_membership(s.data, p.lower, p.upper, p.support.upper)
             assert recounted == p.counts.tolist()
             checks += 1
     assert report(9, "partition structural suite", True, f"{checks} (d, s) configurations")

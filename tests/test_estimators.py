@@ -20,7 +20,6 @@ from entropart import (
     volume_variance,
     winsorise,
 )
-from entropart.estimators import count_degenerate_bins
 
 UNIT_SQUARE_CORNERS = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
 
@@ -45,8 +44,6 @@ class TestEntropyHistogram:
     def test_zero_volume_occupied_bins_excluded(self):
         value = entropy_histogram([2, 2], [0.5, 0.0], 4)
         assert np.isfinite(value)
-        assert count_degenerate_bins([2, 2], [0.5, 0.0]) == 1
-        assert count_degenerate_bins([2, 0], [0.5, 0.0]) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(PreconditionError):

@@ -15,8 +15,11 @@ from entropart import (
     rotate,
     volume_variance,
 )
+from entropart.optimizer import BATCH_SAMPLES, _golden_section, _lockstep, _planar_variances
+from entropart.partition import ARGPARTITION_MIN_CELL
 
 FAST = OptimizerConfig(scan_points=256)
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def fig2_sample(seed, n=64):
@@ -182,3 +185,83 @@ class TestEntropyRotated:
             - entropy_equiprobable_estimate(corr, 1).value
         )
         assert gain >= 0.5
+
+
+def sequential_golden_section(f, a, b, max_iterations, tolerance):
+    """Golden-section search one probe at a time: the reference for the lock-step polish."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    converged = False
+    for _ in range(max_iterations):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+        if fc <= best_f:
+            best_x, best_f = c, fc
+        if fd < best_f:
+            best_x, best_f = d, fd
+        if (b - a) <= 1e-12 or abs(fc - fd) <= tolerance:
+            converged = True
+            break
+    return best_x, best_f, converged
+
+
+def correlated_sample(n, decimals=None, seed=90):
+    data = np.random.default_rng(seed).normal(size=(n, 2)) @ [[1.0, 0.6], [0.0, 0.8]]
+    return SampleSet(data if decimals is None else np.round(data, decimals))
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_batched_objective_is_volume_variance_bit_for_bit(self, decimals):
+        # N=1024: 16 angles per batch, so the scan spans 64 batches, and cells
+        # of 1024, 512 and 256 points take the selection path (with ties
+        # straddling the median when the sample is rounded)
+        s = correlated_sample(1024, decimals)
+        scan = OptimizerConfig().scan_points
+        assert scan > BATCH_SAMPLES // s.n and s.n // 4 >= ARGPARTITION_MIN_CELL
+        angles = [2.0 * np.pi * i / scan for i in range(scan)]
+        batched = _planar_variances(s.data - s.barycentre, angles, 2, (0, 1))
+        for theta, value in zip(angles, batched):
+            assert value == volume_variance(s, mrp_from_angle_2d(theta), 2).variance
+
+    @pytest.mark.parametrize(
+        "sample, depth, max_iterations",
+        [(fig2_sample(3), 1, 96), (correlated_sample(256, decimals=1), 2, 96), (None, 0, 30)],
+    )
+    def test_lockstep_polish_matches_sequential(self, sample, depth, max_iterations):
+        if sample is None:  # a smooth bowl: only the seed bracketing its floor converges
+
+            def objective(thetas):
+                return [(theta - 1.2) ** 2 for theta in thetas]
+        else:
+
+            def objective(thetas):
+                return _planar_variances(sample.data - sample.barycentre, thetas, depth, (0, 1))
+
+        step = 2.0 * np.pi / 64
+        seeds = [2.0 * np.pi * i / 16 for i in range(16)]
+        runs = [_golden_section(x - step, x + step, max_iterations, 1e-10) for x in seeds]
+        lockstep = _lockstep(objective, runs)
+        probes = []
+        for seed, result in zip(seeds, lockstep):
+            calls = []
+
+            def f(theta):
+                calls.append(theta)
+                return objective([theta])[0]
+
+            assert result == sequential_golden_section(
+                f, seed - step, seed + step, max_iterations, 1e-10
+            )
+            probes.append(len(calls))
+        assert len(set(probes)) > 1  # the seeds finish in different rounds
+        if sample is None:
+            assert [converged for _, _, converged in lockstep].count(True) == 1

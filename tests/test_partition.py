@@ -66,6 +66,20 @@ class TestMedianSplit:
         assert left[:, 1].tolist() == expected_left.tolist()
         assert right[:, 1].tolist() == np.setdiff1d(np.arange(values.size), expected_left).tolist()
 
+    def test_large_cell_tied_split_takes_sign_from_stable_order(self):
+        # -0.0 == 0.0, so a selection may return either; the stable order puts
+        # tied rows 9 and 10 (both -0.0) at the median, and in the reversed
+        # input two 0.0 rows
+        rng = np.random.default_rng(9)
+        tied = np.zeros(40)
+        tied[[9, 10]] = -0.0
+        values = np.concatenate([-rng.uniform(1.0, 2.0, 140), tied, rng.uniform(1.0, 2.0, 120)])
+        for values in (values, values[::-1].copy()):
+            _, _, split = median_split(values, 0)
+            assert split == 0.0
+            order = np.argsort(values, kind="stable")
+            assert np.signbit(split) == np.signbit(values[order[149]] + values[order[150]])
+
 
 class TestBuildEquiprobable:
     def test_unit_square_corners(self):
@@ -105,12 +119,7 @@ class TestBuildEquiprobable:
         rng = np.random.default_rng(13 * d + depth)
         s = SampleSet(rng.normal(size=(2 ** (depth * d) * 3 + 1, d)))
         p = build_equiprobable(s, depth)
-        recounted = recount_by_membership(
-            s.data,
-            [b.bounds.lower for b in p.bins],
-            [b.bounds.upper for b in p.bins],
-            p.support.upper,
-        )
+        recounted = recount_by_membership(s.data, p.lower, p.upper, p.support.upper)
         assert recounted == p.counts.tolist()
 
     def test_affine_equivariance(self):
@@ -147,21 +156,18 @@ class TestBuildEquiprobable:
         assert p.bin_count == 16
 
         def bin_containing(point):
-            for b in p.bins:
-                upper_ok = np.where(
-                    b.bounds.upper == p.support.upper,
-                    point <= b.bounds.upper,
-                    point < b.bounds.upper,
-                )
-                if np.all(point >= b.bounds.lower) and np.all(upper_ok):
-                    return b
+            for i, (lower, upper) in enumerate(zip(p.lower, p.upper)):
+                upper_ok = np.where(upper == p.support.upper, point <= upper, point < upper)
+                if np.all(point >= lower) and np.all(upper_ok):
+                    return i
             raise AssertionError("no bin contains the point")
 
+        volumes = bin_volumes(p)
         top_left = bin_containing(np.array([p.support.lower[0], p.support.upper[1]]))
         top_right = bin_containing(np.array([p.support.upper[0], p.support.upper[1]]))
         centre = bin_containing(s.barycentre)
-        assert top_left.volume > centre.volume
-        assert top_right.volume > centre.volume
+        assert volumes[top_left] > volumes[centre]
+        assert volumes[top_right] > volumes[centre]
 
     def test_volumes_match_independent_reimplementation(self):
         rng = np.random.default_rng(20)
@@ -190,7 +196,7 @@ class TestBuildEquiprobable:
         s = SampleSet([[0.0, 0.0], [2.0, 3.0]])
         p = build_equiprobable(s, 0)
         assert p.bin_count == 1
-        assert p.bins[0].count == 2
+        assert p.counts[0] == 2
 
     def test_deep_bivariate_warns(self):
         rng = np.random.default_rng(1)
@@ -201,7 +207,7 @@ class TestBuildEquiprobable:
     def test_zero_width_support_permitted(self):
         s = SampleSet([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0]])
         p = build_equiprobable(s, 1)
-        assert all(b.volume == 0.0 for b in p.bins)
+        assert all(v == 0.0 for v in bin_volumes(p))
         assert p.counts.sum() == 4
 
 
@@ -236,12 +242,45 @@ class TestSerialization:
         assert q.cycle_order == p.cycle_order
         assert np.array_equal(q.support.lower, p.support.lower)
         assert np.array_equal(q.support.upper, p.support.upper)
-        for old, new in zip(p.bins, q.bins):
-            assert new.count == old.count
-            assert new.volume == old.volume
-            assert np.array_equal(new.bounds.lower, old.bounds.lower)
-            assert np.array_equal(new.bounds.upper, old.bounds.upper)
+        assert np.array_equal(q.counts, p.counts)
+        assert np.array_equal(bin_volumes(q), bin_volumes(p))
+        assert np.array_equal(q.lower, p.lower)
+        assert np.array_equal(q.upper, p.upper)
 
     def test_malformed_document(self):
         with pytest.raises(PreconditionError):
             partition_from_dict({"depth": 1})
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "non-numeric count",
+            "non-numeric volume",
+            "non-numeric depth",
+            "inverted bounds",
+            "ragged bounds",
+            "non-finite bound",
+            "volume not the product of widths",
+        ],
+    )
+    def test_malformed_bins_rejected(self, case):
+        p = build_equiprobable(SampleSet(np.random.default_rng(41).normal(size=(32, 2))), 1)
+        doc = json.loads(json.dumps(partition_to_dict(p)))
+        b = doc["bins"][0]
+        if case == "non-numeric count":
+            b["count"] = "eight"
+        elif case == "non-numeric volume":
+            b["volume"] = "large"
+        elif case == "non-numeric depth":
+            doc["depth"] = "one"
+        elif case == "inverted bounds":
+            b["lower"], b["upper"] = b["upper"], b["lower"]
+            b["volume"] = float(np.prod(np.subtract(b["upper"], b["lower"])))
+        elif case == "ragged bounds":
+            b["lower"] = b["lower"] + [0.0]
+        elif case == "non-finite bound":
+            b["upper"][0] = float("inf")
+        else:
+            b["volume"] = float(np.nextafter(b["volume"], np.inf))
+        with pytest.raises(PreconditionError, match="malformed partition document"):
+            partition_from_dict(doc)
