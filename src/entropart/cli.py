@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,12 +68,11 @@ def read_samples_csv(path: str, has_header: bool = False) -> SampleSet:
             if lineno == len(lines):
                 continue  # tolerate one trailing blank line
             raise CsvParseError(f"line {lineno}: empty line")
-        fields = [f.strip() for f in stripped.split(",")]
         try:
-            row = [float(f) for f in fields]
+            row = [float(f) for f in stripped.split(",")]  # float() strips whitespace itself
         except ValueError:
             raise CsvParseError(f"line {lineno}: non-numeric field in {stripped!r}") from None
-        if not all(np.isfinite(row)):
+        if not all(map(math.isfinite, row)):
             raise CsvParseError(f"line {lineno}: non-finite value")
         if width is None:
             width = len(row)

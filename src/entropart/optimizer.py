@@ -13,17 +13,18 @@ minima: kinks appear wherever a rotation reorders sample coordinates, and
 competitive basins can be a few milliradians wide.  Alignment is therefore
 derivative-free and deliberately dense in 2-D: a deterministic uniform angle
 scan locates the candidate basins and golden-section polishes the best of
-them.  3-D alignment runs multi-start Nelder-Mead over the MRP vector.
-Everything is deterministic; there is no randomness in the optimizer.
+them.  3-D alignment runs multi-start Nelder-Mead over the MRP vector.  Both
+searches advance all their local runs in lock-step, so every round of probes
+is one batched call of the partition kernel.  Everything is deterministic;
+there is no randomness in the optimizer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .errors import DegeneratePartitionError, PreconditionError
 from .estimators import METHOD_ROTATED, EntropyEstimate, entropy_equiprobable
@@ -34,12 +35,13 @@ from .geometry import (
     mrp_from_angle_2d,
     normalize_angle,
     rotate,
+    rotation_matrix,
 )
 from .partition import Partition, bin_volumes, build_equiprobable, leaf_boxes
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
-# rotated points per kernel call in the 2-D search: a batch holds
+# rotated points per kernel call in either search: a batch holds
 # max(1, BATCH_SAMPLES // N) angles, which bounds its memory at any N
 BATCH_SAMPLES = 2**14
 
@@ -54,7 +56,8 @@ class OptimizerConfig:
     narrow minima of the objective.  ``eigenvector_start`` additionally
     seeds from the orientations aligning the leading sample-covariance
     eigenvector with a coordinate axis.  In 3-D, ``starts`` seeds
-    Nelder-Mead runs over the MRP vector.
+    Nelder-Mead runs over the MRP vector.  Either way the local runs (polish
+    or Nelder-Mead) advance in lock-step, one batched evaluation per round.
     """
 
     starts: int = 16
@@ -104,20 +107,15 @@ def optimise_rotation(
     toward the smallest rotation angle so results are reproducible.
     """
     config = config or OptimizerConfig()
-    if samples.d == 2:
-        angle, converged = _optimise_2d(samples, depth, config, cycle_order)
-        best = volume_variance(samples, mrp_from_angle_2d(angle), depth, cycle_order)
-    elif samples.d == 3:
-        mrp, converged = _optimise_3d(samples, depth, config, cycle_order)
-        best = volume_variance(samples, Rotation(mrp), depth, cycle_order)
-    else:
+    if samples.d not in (2, 3):
         raise PreconditionError(f"rotation optimization requires d in {{2, 3}}, got d={samples.d}")
-    best = ObjectiveEvaluation(
-        rotation=best.rotation,
-        variance=best.variance,
-        partition=best.partition,
-        converged=converged,
-    )
+    # one full build validates depth, sample count, and cycle order up front
+    build_equiprobable(samples, depth, cycle_order)
+    order = tuple(range(samples.d)) if cycle_order is None else tuple(int(i) for i in cycle_order)
+    centred = samples.data - samples.barycentre
+    search = _optimise_2d if samples.d == 2 else _optimise_3d
+    rot, converged = search(samples, centred, depth, order, config)
+    best = replace(volume_variance(samples, rot, depth, cycle_order), converged=converged)
     return best.rotation, best
 
 
@@ -135,14 +133,9 @@ def entropy_rotated(
     )
 
 
-def _optimise_2d(samples, depth, config, cycle_order):
-    # one full build validates depth, sample count, and cycle order up front
-    build_equiprobable(samples, depth, cycle_order)
-    order = tuple(range(samples.d)) if cycle_order is None else tuple(cycle_order)
-    centred = samples.data - samples.barycentre
-
+def _optimise_2d(samples, centred, depth, order, config):
     def objective(thetas) -> list[float]:
-        return _planar_variances(centred, thetas, depth, order)
+        return _variances(centred, _planar_matrices(thetas), depth, order)
 
     scan_angles = [TWO_PI * i / config.scan_points for i in range(config.scan_points)]
     extra = _eigenvector_angles_2d(samples) if config.eigenvector_start and samples.n >= 2 else []
@@ -160,19 +153,22 @@ def _optimise_2d(samples, depth, config, cycle_order):
     candidates += [(value, normalize_angle(x), ok) for x, value, ok in _lockstep(objective, runs)]
 
     variance, angle, converged = min(candidates, key=lambda c: (c[0], c[1]))
-    return angle, converged
+    return mrp_from_angle_2d(angle), converged
 
 
-def _planar_variances(centred, thetas, depth, order) -> list[float]:
-    """``volume_variance`` of the centred sample at each angle, bit for bit, in batches."""
-    # the matrices rotation_matrix(mrp_from_angle_2d(normalize_angle(theta)), 2) builds
+def _planar_matrices(thetas) -> np.ndarray:
+    """``rotation_matrix(mrp_from_angle_2d(normalize_angle(theta)), 2).T`` per angle, bitwise."""
     tan = np.tan(np.array([normalize_angle(theta) for theta in thetas]) / 4.0)
     angles = 4.0 * np.arctan(np.sqrt(tan * tan))
     cos, sin = np.cos(angles), np.sin(angles)
-    matrices = np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2).transpose(0, 2, 1)
+    return np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2).transpose(0, 2, 1)
+
+
+def _variances(centred, matrices, depth, order) -> list[float]:
+    """``volume_variance`` in each frame ``centred @ matrices[i]``, bit for bit, in batches."""
     batch = max(1, BATCH_SAMPLES // len(centred))
     variances = []
-    for start in range(0, len(thetas), batch):
+    for start in range(0, len(matrices), batch):
         lower, upper, _ = leaf_boxes(centred @ matrices[start : start + batch], depth, order)
         vols = np.prod(upper - lower, axis=2)
         total = vols.sum(axis=1, keepdims=True)
@@ -235,8 +231,52 @@ def _golden_section(a, b, max_iterations, tolerance):
     return best_x, best_f, False
 
 
+def _nelder_mead(x0, max_iterations, xatol, fatol):
+    """Nelder-Mead minimization from ``x0``, as a generator like :func:`_golden_section`.
+
+    Unbounded, non-adaptive steps (reflection 1, expansion 2, contraction and
+    shrink 1/2) in the exact arithmetic of the reference the tests compare it
+    with, so both probe the same points.  Returns ``(point, value, converged)``
+    for the best vertex; converged means both tolerances held before ``max_iterations``.
+    """
+    n = len(x0)
+    sim = np.array([x0] * (n + 1), dtype=float)
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.empty(n + 1)
+    for k in range(n + 1):
+        fsim[k] = yield sim[k].copy()
+    for iteration in range(1, max_iterations + 1):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if iteration == max_iterations or (
+            np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol
+        ):
+            return sim[0], float(fsim[0]), iteration < max_iterations
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = yield xr
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # contract outside the simplex if the reflection beat the worst vertex, else inside
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = yield xc
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = yield sim[j].copy()
+
+
 def _lockstep(objective, runs) -> list[tuple]:
-    """Run golden-section generators in rounds of one ``objective`` call; return their results."""
+    """Run search generators in rounds of one ``objective`` call; return their results."""
     results = [None] * len(runs)
     pending = {i: run.send(None) for i, run in enumerate(runs)}
     while pending:
@@ -250,9 +290,10 @@ def _lockstep(objective, runs) -> list[tuple]:
     return results
 
 
-def _optimise_3d(samples, depth, config, cycle_order):
-    def objective(mrp: np.ndarray) -> float:
-        return volume_variance(samples, Rotation(mrp), depth, cycle_order).variance
+def _optimise_3d(samples, centred, depth, order, config):
+    def objective(mrps) -> list[float]:
+        matrices = np.stack([rotation_matrix(Rotation(mrp), 3).T for mrp in mrps])
+        return _variances(centred, matrices, depth, order)
 
     starts = [np.zeros(3)]
     n_axes = max(1, (config.starts - 1) // 3)
@@ -264,25 +305,15 @@ def _optimise_3d(samples, depth, config, cycle_order):
         if eig is not None:
             starts.append(eig)
 
-    candidates = []
-    for x0 in starts:
-        seed_var = objective(x0)
+    seed_values = objective(starts)
+    runs = [_nelder_mead(x0, config.max_iterations, 1e-8, config.tolerance) for x0 in starts]
+    candidates = []  # (variance, rotation angle, MRP, converged): each seed, then its run
+    for x0, seed_var, (mrp, value, ok) in zip(starts, seed_values, _lockstep(objective, runs)):
         candidates.append((seed_var, Rotation(x0).angle, x0, True))
-        result = _sciopt.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "xatol": 1e-8,
-                "fatol": config.tolerance,
-            },
-        )
-        mrp = np.asarray(result.x, dtype=float)
-        candidates.append((float(result.fun), Rotation(mrp).angle, mrp, bool(result.success)))
+        candidates.append((value, Rotation(mrp).angle, mrp, ok))
 
     variance, _, mrp, converged = min(candidates, key=lambda c: (c[0], c[1]))
-    return mrp, converged
+    return Rotation(mrp), converged
 
 
 def _fibonacci_axes(m: int) -> np.ndarray:

@@ -21,10 +21,6 @@ from .geometry import BoundingBox, SampleSet
 # beyond this depth bivariate bins hold too few samples to be informative
 MAX_RECOMMENDED_BIVARIATE_DEPTH = 4
 
-# smaller cells keep the stable argsort in the median split: for one row, selecting
-# the median saves nothing there and is often slower (up to a third at 25-128 points)
-ARGPARTITION_MIN_CELL = 256
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -76,31 +72,23 @@ def _split_rows(values_flat: np.ndarray, idx: np.ndarray):
     """Median-split each ascending row of the (A, m) index matrix ``idx`` into ``values_flat``.
 
     Returns left and right index matrices, rows ascending, and the (A,) split
-    coordinates.  Large cells select the two straddling order statistics;
-    where they tie, only a stable sort of the row knows which tied rows go left.
+    coordinates.  Each row selects its two straddling order statistics; where
+    they tie, only a stable sort of the row knows which tied rows go left.
     """
     values = values_flat.take(idx)
     a, m = values.shape
     k = (m + 1) // 2
-    if m >= ARGPARTITION_MIN_CELL:
-        straddle = np.partition(values, (k - 1, k), axis=1)
-        below, above = straddle[:, k - 1], straddle[:, k]
-        right = values > below[:, None]
-        for row in np.flatnonzero(below == above):  # the sort also orders -0.0 and 0.0
-            order = values[row].argsort(kind="stable")
-            below[row], above[row] = values[row, order[k - 1]], values[row, order[k]]
-            right[row, order[:k]], right[row, order[k:]] = False, True
-        # flat positions of each side come row by row, ascending
-        left_idx = idx.take((~right).ravel().nonzero()[0]).reshape(a, k)
-        right_idx = idx.take(right.ravel().nonzero()[0]).reshape(a, m - k)
-        return left_idx, right_idx, 0.5 * (below + above)
-    # flat offsets: take beats 2-D fancy indexing
-    order = values.argsort(axis=1, kind="stable") + m * np.arange(a)[:, None]
-    below, above = values.take(order[:, k - 1]), values.take(order[:, k])
-    moved = idx.take(order)
-    moved[:, :k].sort(axis=1)
-    moved[:, k:].sort(axis=1)
-    return moved[:, :k], moved[:, k:], 0.5 * (below + above)
+    straddle = np.partition(values, (k - 1, k), axis=1)
+    below, above = straddle[:, k - 1], straddle[:, k]
+    right = values > below[:, None]
+    for row in np.flatnonzero(below == above):  # the sort also orders -0.0 and 0.0
+        order = values[row].argsort(kind="stable")
+        below[row], above[row] = values[row, order[k - 1]], values[row, order[k]]
+        right[row, order[:k]], right[row, order[k:]] = False, True
+    # flat positions of each side come row by row, ascending; take beats 2-D fancy indexing
+    left_idx = idx.take((~right).ravel().nonzero()[0]).reshape(a, k)
+    right_idx = idx.take(right.ravel().nonzero()[0]).reshape(a, m - k)
+    return left_idx, right_idx, 0.5 * (below + above)
 
 
 def leaf_boxes(points: np.ndarray, depth: int, order):
@@ -197,25 +185,50 @@ def partition_to_dict(partition: Partition) -> dict:
 def partition_from_dict(doc: dict) -> Partition:
     """Rebuild a partition from :func:`partition_to_dict` output.
 
-    Raises :class:`PreconditionError` for every malformed document,
-    including ragged, inverted or non-finite bin bounds and a stored volume
-    that is not exactly the product of its bin's widths.
+    Raises :class:`PreconditionError` for every malformed document: a count,
+    ``depth`` or ``dims`` that is not a non-negative integer, a bin count other
+    than ``2**(depth*dims)``, a ``cycle_order`` that is not a permutation of
+    ``0..dims-1``, bounds that are not ``dims`` wide or are ragged, inverted or
+    non-finite, and a stored volume that is not exactly the product of its
+    bin's widths.
     """
     try:
         support = BoundingBox(np.array(doc["support"]["lower"]), np.array(doc["support"]["upper"]))
         bins = doc["bins"]
         lower = np.array([b["lower"] for b in bins], dtype=float)
         upper = np.array([b["upper"] for b in bins], dtype=float)
-        counts = np.array([int(b["count"]) for b in bins])
+        counts = np.array([_whole(b["count"], "count") for b in bins], dtype=int)
         volumes = np.array([float(b["volume"]) for b in bins])
-        tree = (int(doc["depth"]), int(doc["dims"]), tuple(int(i) for i in doc["cycle_order"]))
-        partition = Partition(lower, upper, counts, *tree, support)
-    except (KeyError, TypeError, ValueError) as exc:
+        depth, dims = _whole(doc["depth"], "depth"), _whole(doc["dims"], "dims")
+        order = tuple(_whole(i, "cycle_order entry") for i in doc["cycle_order"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed partition document: {exc}") from exc
-    if lower.ndim != 2 or lower.shape != upper.shape or not np.all(
-        np.isfinite(lower) & np.isfinite(upper) & (lower <= upper)
+    if sorted(order) != list(range(dims)):
+        raise PreconditionError(
+            f"malformed partition document: cycle_order {list(order)} is not a permutation "
+            f"of 0..{dims - 1}"
+        )
+    needed = 2 ** (depth * dims)
+    if len(bins) != needed:
+        raise PreconditionError(
+            f"malformed partition document: {len(bins)} bins, not 2^(depth*dims)={needed}"
+        )
+    if (
+        lower.shape != (len(bins), dims)
+        or upper.shape != lower.shape
+        or support.lower.shape != (dims,)
+        or not np.all(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper))
     ):
         raise PreconditionError("malformed partition document: bad bin bounds")
+    partition = Partition(lower, upper, counts, depth, dims, order, support)
     if not np.array_equal(volumes, bin_volumes(partition)):
         raise PreconditionError("malformed partition document: volume is not the product of widths")
     return partition
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an int, if it is already a non-negative integer."""
+    number = int(value)
+    if number != value or number < 0:
+        raise ValueError(f"{name} {value!r} is not a non-negative integer")
+    return number

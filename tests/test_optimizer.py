@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import circular_distance
+from scipy import optimize
 
 from entropart import (
     OptimizerConfig,
@@ -15,8 +20,15 @@ from entropart import (
     rotate,
     volume_variance,
 )
-from entropart.optimizer import BATCH_SAMPLES, _golden_section, _lockstep, _planar_variances
-from entropart.partition import ARGPARTITION_MIN_CELL
+from entropart.geometry import rotation_matrix
+from entropart.optimizer import (
+    BATCH_SAMPLES,
+    _golden_section,
+    _lockstep,
+    _nelder_mead,
+    _planar_matrices,
+    _variances,
+)
 
 FAST = OptimizerConfig(scan_points=256)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -218,19 +230,33 @@ def correlated_sample(n, decimals=None, seed=90):
     return SampleSet(data if decimals is None else np.round(data, decimals))
 
 
+def planar_variances(sample, thetas, depth):
+    """The 2-D search objective: volume variance at each angle, in batches."""
+    return _variances(sample.data - sample.barycentre, _planar_matrices(thetas), depth, (0, 1))
+
+
 class TestBatchedSearch:
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("decimals", [None, 1])
-    def test_batched_objective_is_volume_variance_bit_for_bit(self, decimals):
-        # N=1024: 16 angles per batch, so the scan spans 64 batches, and cells
-        # of 1024, 512 and 256 points take the selection path (with ties
-        # straddling the median when the sample is rounded)
-        s = correlated_sample(1024, decimals)
-        scan = OptimizerConfig().scan_points
-        assert scan > BATCH_SAMPLES // s.n and s.n // 4 >= ARGPARTITION_MIN_CELL
-        angles = [2.0 * np.pi * i / scan for i in range(scan)]
-        batched = _planar_variances(s.data - s.barycentre, angles, 2, (0, 1))
-        for theta, value in zip(angles, batched):
-            assert value == volume_variance(s, mrp_from_angle_2d(theta), 2).variance
+    def test_batched_objective_is_volume_variance_bit_for_bit(self, decimals, d):
+        # N=1024: 16 rotations per batch, so the probes span many batches,
+        # with ties straddling the median when the sample is rounded
+        if d == 2:
+            s = correlated_sample(1024, decimals)
+            scan = OptimizerConfig().scan_points
+            angles = [2.0 * np.pi * i / scan for i in range(scan)]
+            rotations = [mrp_from_angle_2d(theta) for theta in angles]
+            batched = planar_variances(s, angles, 2)
+        else:
+            rng = np.random.default_rng(91)
+            data = rng.normal(size=(1024, 3)) @ rng.normal(size=(3, 3))
+            s = SampleSet(data if decimals is None else np.round(data, decimals))
+            rotations = [Rotation(m) for m in rng.normal(scale=0.6, size=(200, 3))]
+            matrices = np.stack([rotation_matrix(r, 3).T for r in rotations])
+            batched = _variances(s.data - s.barycentre, matrices, 2, (0, 1, 2))
+        assert len(rotations) > BATCH_SAMPLES // s.n
+        for rot, value in zip(rotations, batched):
+            assert value == volume_variance(s, rot, 2).variance
 
     @pytest.mark.parametrize(
         "sample, depth, max_iterations",
@@ -244,7 +270,7 @@ class TestBatchedSearch:
         else:
 
             def objective(thetas):
-                return _planar_variances(sample.data - sample.barycentre, thetas, depth, (0, 1))
+                return planar_variances(sample, thetas, depth)
 
         step = 2.0 * np.pi / 64
         seeds = [2.0 * np.pi * i / 16 for i in range(16)]
@@ -265,3 +291,90 @@ class TestBatchedSearch:
         assert len(set(probes)) > 1  # the seeds finish in different rounds
         if sample is None:
             assert [converged for _, _, converged in lockstep].count(True) == 1
+
+
+def recording(run, probes):
+    """Pass a search generator through, keeping a copy of each point it probes."""
+    point = next(run)
+    while True:
+        probes.append(np.array(point))
+        try:
+            point = run.send((yield point))
+        except StopIteration as done:
+            return done.value
+
+
+def scipy_nelder_mead(f, x0, max_iterations, tolerance):
+    """The reference for ``_nelder_mead``: probes, probes per iteration, and the result."""
+    probes, marks = [], [len(x0) + 1]
+
+    def probe(x):
+        probes.append(np.array(x))
+        return f(x)
+
+    result = optimize.minimize(
+        probe,
+        x0,
+        method="Nelder-Mead",
+        options={"maxiter": max_iterations, "xatol": 1e-8, "fatol": tolerance},
+        callback=lambda xk: marks.append(len(probes)),
+    )
+    return probes, np.diff(marks), result
+
+
+BOWL_CENTRE = np.array([0.3, -0.7, 1.1])
+
+
+def bowl(x):
+    return float(np.sum((x - BOWL_CENTRE) ** 2 * [1.0, 2.0, 3.0]))
+
+
+def stepped_bowl(x):  # plateaus make contractions fail, so the simplex shrinks
+    return float(np.floor(8.0 * np.sum((x - BOWL_CENTRE) ** 2)))
+
+
+def volume_variance_3d(x):
+    rng = np.random.default_rng(92)
+    s = SampleSet(rng.normal(size=(256, 3)) @ rng.normal(size=(3, 3)))
+    return volume_variance(s, Rotation(x), 1).variance
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize(
+        "f, starts, max_iterations, converges",
+        [
+            (bowl, [[0.5, 0.1, -0.2], [-0.4, 0.3, 0.9]], 400, True),
+            (volume_variance_3d, [[0.0, 0.0, 0.2], [0.3, -0.1, 0.2], [-0.2, 0.4, 0.1]], 60, False),
+            (bowl, [[0.0, 0.4, 0.0], [0.0, 0.0, 0.0]], 400, True),
+            (stepped_bowl, [[0.5, 0.1, -0.2]], 100, True),
+        ],
+        ids=["bowl", "volume-variance", "zero-components", "shrink"],
+    )
+    def test_lockstep_matches_scipy(self, f, starts, max_iterations, converges):
+        starts = [np.array(x0) for x0 in starts]
+        probes = [[] for _ in starts]
+        runs = [
+            recording(_nelder_mead(x0, max_iterations, 1e-8, 1e-10), seen)
+            for x0, seen in zip(starts, probes)
+        ]
+        results = _lockstep(lambda points: [f(x) for x in points], runs)
+        for x0, seen, (x, value, converged) in zip(starts, probes, results):
+            expected, per_iteration, reference = scipy_nelder_mead(f, x0, max_iterations, 1e-10)
+            assert x.tobytes() == reference.x.tobytes()
+            assert value == reference.fun
+            assert converged == reference.success == converges
+            assert len(seen) == len(expected)
+            assert all(p.tobytes() == q.tobytes() for p, q in zip(seen, expected))
+            if f is stepped_bowl:  # a shrink re-probes every vertex but the best
+                assert len(x0) + 2 in per_iteration
+
+
+def test_import_leaves_scipy_unloaded():
+    import entropart
+
+    src = os.path.dirname(os.path.dirname(entropart.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    check = "import sys, entropart; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

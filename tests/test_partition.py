@@ -14,7 +14,6 @@ from entropart import (
     partition_from_dict,
     partition_to_dict,
 )
-from entropart.partition import ARGPARTITION_MIN_CELL
 
 
 class TestMedianSplit:
@@ -52,19 +51,25 @@ class TestMedianSplit:
 
     def test_large_cell_ties_at_median_go_left_by_input_order(self):
         # 140 values below the tie, 40 tied, 120 above: the median (k=150)
-        # falls inside the tied run, so 10 of the tied rows go left
+        # falls inside the tied run, so 10 of the tied rows go left; in a
+        # 9-point cell with 2 below, 4 tied and 3 above (k=5), 3 of them do
         rng = np.random.default_rng(8)
-        values = rng.permutation(
-            np.concatenate([-rng.uniform(1.0, 2.0, 140), np.zeros(40), rng.uniform(1.0, 2.0, 120)])
-        )
-        assert values.size >= ARGPARTITION_MIN_CELL
-        pts = np.column_stack([values, np.arange(values.size, dtype=float)])
-        left, right, split = median_split(pts, 0)
-        tied = np.flatnonzero(values == 0.0)
-        expected_left = np.sort(np.concatenate([np.flatnonzero(values < 0.0), tied[:10]]))
-        assert split == 0.0
-        assert left[:, 1].tolist() == expected_left.tolist()
-        assert right[:, 1].tolist() == np.setdiff1d(np.arange(values.size), expected_left).tolist()
+        for below, ties, above in [(140, 40, 120), (2, 4, 3)]:
+            values = rng.permutation(
+                np.concatenate(
+                    [-rng.uniform(1.0, 2.0, below), np.zeros(ties), rng.uniform(1.0, 2.0, above)]
+                )
+            )
+            pts = np.column_stack([values, np.arange(values.size, dtype=float)])
+            left, right, split = median_split(pts, 0)
+            tied = np.flatnonzero(values == 0.0)
+            going = (values.size + 1) // 2 - below
+            expected_left = np.sort(np.concatenate([np.flatnonzero(values < 0.0), tied[:going]]))
+            assert split == 0.0
+            assert left[:, 1].tolist() == expected_left.tolist()
+            assert (
+                right[:, 1].tolist() == np.setdiff1d(np.arange(values.size), expected_left).tolist()
+            )
 
     def test_large_cell_tied_split_takes_sign_from_stable_order(self):
         # -0.0 == 0.0, so a selection may return either; the stable order puts
@@ -261,6 +266,17 @@ class TestSerialization:
             "ragged bounds",
             "non-finite bound",
             "volume not the product of widths",
+            "dropped bin",
+            "depth too large for the bins",
+            "dims too large for the bins",
+            "fractional count",
+            "negative count",
+            "fractional depth",
+            "negative depth",
+            "fractional dims",
+            "negative dims",
+            "bounds not dims wide",
+            "repeated cycle_order entry",
         ],
     )
     def test_malformed_bins_rejected(self, case):
@@ -280,7 +296,29 @@ class TestSerialization:
             b["lower"] = b["lower"] + [0.0]
         elif case == "non-finite bound":
             b["upper"][0] = float("inf")
-        else:
+        elif case == "volume not the product of widths":
             b["volume"] = float(np.nextafter(b["volume"], np.inf))
+        elif case == "dropped bin":
+            doc["bins"].pop()
+        elif case == "depth too large for the bins":
+            doc["depth"] = 2
+        elif case == "dims too large for the bins":
+            doc["dims"] = 3
+        elif case == "fractional count":
+            b["count"] = 16.7
+        elif case == "negative count":
+            b["count"] = -3
+        elif case == "fractional depth":
+            doc["depth"] = 1.5
+        elif case == "negative depth":
+            doc["depth"] = -1
+        elif case == "fractional dims":
+            doc["dims"] = 2.5
+        elif case == "negative dims":
+            doc["dims"] = -2
+        elif case == "bounds not dims wide":  # 4 bins of depth 2 in one dimension
+            doc["depth"], doc["dims"], doc["cycle_order"] = 2, 1, [0]
+        else:
+            doc["cycle_order"] = [0, 0]
         with pytest.raises(PreconditionError, match="malformed partition document"):
             partition_from_dict(doc)
