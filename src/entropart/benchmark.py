@@ -181,6 +181,8 @@ def run_study(
     """
     if trials < 1:
         raise PreconditionError(f"trials must be at least 1, got {trials}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
     depth, grid = depth_and_grid_for_bins(bins)
     if n < bins:
         raise PreconditionError(f"N={n} < B={bins}; every bin needs at least one sample")

@@ -10,9 +10,11 @@ stderr with a machine-parsable ``error: <kind>:`` prefix.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -52,12 +54,80 @@ class UsageError(ValueError):
 
 
 def read_samples_csv(path: str, has_header: bool = False) -> SampleSet:
-    """Read one sample per row of comma-separated floats, reporting bad lines."""
+    """Read one sample per row of comma-separated floats, reporting bad lines.
+
+    numpy's C parser reads the file as a stream; its result is kept only when
+    it has one row per line that ``_parse_lines`` would parse and every value
+    is finite.  Anything else (a blank or bad line, a lone CR, a spelling that
+    only ``float()`` accepts) is parsed again by ``_parse_lines``, which
+    defines the format and names the first bad line.
+    """
+    try:
+        lines, blank_tail, odd = _scan_lines(path)
+        expected = lines - has_header - blank_tail
+        if expected > 0 and not odd:
+            try:
+                with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # "input contained no data"
+                    data = np.loadtxt(
+                        fh, delimiter=",", comments=None, ndmin=2, skiprows=int(has_header)
+                    )
+                if data.shape[0] == expected and np.isfinite(data).all():
+                    return SampleSet(data)
+            except ValueError:  # includes UnicodeDecodeError
+                pass
+        return _parse_lines(path, has_header)
+    except OSError as exc:
+        raise CsvParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _scan_lines(path: str):
+    """Count the lines text mode reads, in 1 MB binary chunks.
+
+    Returns the count, whether the last line is blank (which ``_parse_lines``
+    skips), and whether the file holds a byte the two parsers read apart: a
+    lone CR, which text mode reads as a line end but the count does not, or
+    one of the separators 0x1c-0x1f, which numpy strips from a field and
+    ``float()`` rejects.
+    """
+    lf = cr = crlf = chunks = 0
+    odd = False
+    tail = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            lf += chunk.count(b"\n")
+            cr += chunk.count(b"\r")
+            if cr > crlf:  # some CR is not yet known to start a CRLF
+                crlf += chunk.count(b"\r\n") + (tail[-1:] == b"\r" and chunk[:1] == b"\n")
+            odd = odd or any(sep in chunk for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+            tail, chunks = tail[-1:] + chunk, chunks + 1
+    unterminated = tail[-1:] not in (b"", b"\n")
+    body = tail if unterminated else tail[:-1]
+    start = body.rfind(b"\n")
+    # a last line longer than a chunk is never called blank: that only sends
+    # the file to _parse_lines
+    blank_tail = not body[start + 1 :].strip() and (start >= 0 or chunks <= 1)
+    return lf + unterminated, blank_tail, odd or cr != crlf
+
+
+def _parse_lines(path: str, has_header: bool) -> SampleSet:
+    """Parse line by line with ``float()``, raising the first error in file order."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
-        raise CsvParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError:
+        # the decoder reports offsets within its chunk; decode again to place the byte
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = raw[: exc.start].decode("utf-8")
+            lineno = len(io.StringIO(head + "x", newline=None).readlines())
+            raise CsvParseError(
+                f"line {lineno}: not UTF-8 (byte 0x{raw[exc.start]:02x} at offset {exc.start})"
+            ) from None
+        raise  # the file changed between the two reads
     rows = []
     width = None
     for lineno, line in enumerate(lines, start=1):

@@ -162,7 +162,7 @@ def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> Ent
 
 def winsorise(samples: SampleSet, k_sigma: float = 3.0) -> SampleSet:
     """Clip every coordinate to mean +/- k_sigma standard deviations per marginal."""
-    if k_sigma <= 0:
+    if not k_sigma > 0:  # also rejects NaN
         raise PreconditionError(f"k_sigma must be positive, got {k_sigma!r}")
     mean = samples.barycentre
     std = samples.data.std(axis=0)

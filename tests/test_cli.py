@@ -77,6 +77,59 @@ class TestReadCsv:
         with pytest.raises(CsvParseError, match="line 2"):
             read_samples_csv(str(p))
 
+    @pytest.mark.parametrize(
+        "text, has_header, message",
+        [
+            ("1,2\n\n3,4\n", False, "line 2: empty line"),
+            ("1,2\n \t \n3,4\n", False, "line 2: empty line"),
+            ("1,2\nnan,3\n", False, "line 2: non-finite value"),
+            ("1,2\n3,-inf\n", False, "line 2: non-finite value"),
+            ("1,2\n1e400,3\n", False, "line 2: non-finite value"),
+            ("", False, "no data rows"),
+            ("x,y\n", True, "no data rows"),
+            ("1,2\n3,4\n\n\n", False, "line 3: empty line"),
+            ("1,2\n3,4\nnan,5\n6,7\n\n8,9\n", False, "line 3: non-finite value"),
+            ("1,2\n3,4,5\n", False, "line 2: expected 2 columns, found 3"),
+            ("1,2\n3,x\n", False, "line 2: non-numeric field in '3,x'"),
+        ],
+    )
+    def test_rejects_with_first_bad_line(self, tmp_path, text, has_header, message):
+        from entropart.cli import CsvParseError
+
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(CsvParseError) as info:
+            read_samples_csv(str(p), has_header=has_header)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, has_header, expected",
+        [
+            ("1,2\n3,4\n\n", False, [[1, 2], [3, 4]]),  # one trailing blank line
+            ("1,2\n3,4", False, [[1, 2], [3, 4]]),  # no final newline
+            ("x,y\r\n 1 , 2\r\n3,\t4 \r\n", True, [[1, 2], [3, 4]]),  # CRLF, padded fields
+            ("1,2\r3,4\r", False, [[1, 2], [3, 4]]),  # lone CR ends a line in text mode
+            ("1_000,٣\n5,6\n", False, [[1000, 3], [5, 6]]),  # spellings only float() reads
+        ],
+    )
+    def test_accepts(self, tmp_path, text, has_header, expected):
+        p = tmp_path / "ok.csv"
+        p.write_bytes(text.encode("utf-8"))
+        data = read_samples_csv(str(p), has_header=has_header).data
+        assert data.tolist() == expected
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_round_trips_bit_for_bit(self, tmp_path, d):
+        rng = np.random.default_rng(d)
+        p = tmp_path / "random.csv"
+        written = rng.standard_normal((500, d)) * 10.0 ** rng.integers(-300, 300, d)
+        np.savetxt(p, written, fmt="%.17g", delimiter=",")
+        lines = p.read_text(encoding="utf-8").splitlines()
+        oracle = np.array([[float(f) for f in line.split(",")] for line in lines])
+        data = read_samples_csv(str(p)).data
+        assert data.dtype == oracle.dtype and data.shape == oracle.shape
+        assert data.tobytes() == oracle.tobytes()
+
 
 class TestEstimateCommand:
     def test_equiprobable_on_corners(self, capsys, corners_csv):
@@ -151,6 +204,22 @@ class TestEstimateCommand:
         assert err.startswith("error: parse:")
         assert "line 1" in err
 
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"1.0,2.0\n\xff3.0,4.0\n5.0,6.0\n")
+        code = main(["estimate", "--input", str(p), "--method", "naive", "--bins-per-dim", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: parse: line 2:")
+        assert err.count("\n") == 1
+
+    def test_nan_winsorise_names_k_sigma(self, capsys, corners_csv):
+        argv = ["estimate", "--input", corners_csv, "--method", "naive", "--bins-per-dim", "1"]
+        code = main(argv + ["--winsorise", "nan"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: precondition: k_sigma")
+
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
         code = main(
             ["estimate", "--input", str(tmp_path / "nope.csv"), "--method", "naive", "--bins-per-dim", "2"]
@@ -200,6 +269,12 @@ class TestBenchmarkCommand:
     def test_too_few_trials(self, capsys):
         code = main(["benchmark", "--n", "32", "--bins", "4", "--trials", "1", "--seed", "1"])
         assert code == 3
+
+    def test_negative_seed_names_seed(self, capsys):
+        code = main(["benchmark", "--n", "16", "--bins", "4", "--trials", "3", "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: precondition: seed")
 
 
 class TestDumpPartitionCommand:
