@@ -162,8 +162,8 @@ def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> Ent
 
 def winsorise(samples: SampleSet, k_sigma: float = 3.0) -> SampleSet:
     """Clip every coordinate to mean +/- k_sigma standard deviations per marginal."""
-    if not k_sigma > 0:  # also rejects NaN
-        raise PreconditionError(f"k_sigma must be positive, got {k_sigma!r}")
+    if not 0 < k_sigma < np.inf:  # also rejects NaN; inf would clip a constant column to NaN
+        raise PreconditionError(f"k_sigma must be positive and finite, got {k_sigma!r}")
     mean = samples.barycentre
     std = samples.data.std(axis=0)
     return SampleSet(np.clip(samples.data, mean - k_sigma * std, mean + k_sigma * std))

@@ -67,14 +67,12 @@ class OptimizerConfig:
     scan_points: int = 1024
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise PreconditionError("optimizer needs at least one start point")
-        if self.tolerance <= 0:
-            raise PreconditionError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise PreconditionError("max_iterations must be positive")
-        if self.scan_points < 1:
-            raise PreconditionError("scan_points must be positive")
+        for name in ("starts", "max_iterations", "scan_points"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
+        if not self.tolerance > 0:  # also rejects NaN
+            raise PreconditionError(f"tolerance must be positive, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)

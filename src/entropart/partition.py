@@ -72,16 +72,18 @@ def _split_rows(values_flat: np.ndarray, idx: np.ndarray):
     """Median-split each ascending row of the (A, m) index matrix ``idx`` into ``values_flat``.
 
     Returns left and right index matrices, rows ascending, and the (A,) split
-    coordinates.  Each row selects its two straddling order statistics; where
-    they tie, only a stable sort of the row knows which tied rows go left.
+    coordinates.  Each row selects its k-th smallest value once; the minimum of
+    the values to its right is the next order statistic.  Where the two tie,
+    only a stable sort of the row knows which tied rows go left.
     """
     values = values_flat.take(idx)
     a, m = values.shape
     k = (m + 1) // 2
-    straddle = np.partition(values, (k - 1, k), axis=1)
-    below, above = straddle[:, k - 1], straddle[:, k]
+    # a single kth takes numpy's SIMD quickselect; a tuple kth does not
+    selected = np.partition(values, k - 1, axis=1)
+    below, above = selected[:, k - 1], selected[:, k:].min(axis=1)
     right = values > below[:, None]
-    for row in np.flatnonzero(below == above):  # the sort also orders -0.0 and 0.0
+    for row in (below == above).nonzero()[0]:  # the sort also orders -0.0 and 0.0
         order = values[row].argsort(kind="stable")
         below[row], above[row] = values[row, order[k - 1]], values[row, order[k]]
         right[row, order[:k]], right[row, order[k:]] = False, True

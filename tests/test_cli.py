@@ -220,6 +220,15 @@ class TestEstimateCommand:
         assert code == 3
         assert err.startswith("error: precondition: k_sigma")
 
+    def test_inf_winsorise_names_k_sigma(self, capsys, tmp_path):
+        path = write_csv(tmp_path / "const.csv", [[0, 5], [1, 5], [2, 5], [3, 5]])
+        argv = ["estimate", "--input", path, "--method", "naive", "--bins-per-dim", "1"]
+        code = main(argv + ["--winsorise", "inf"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: precondition: k_sigma")
+        assert err.count("\n") == 1
+
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
         code = main(
             ["estimate", "--input", str(tmp_path / "nope.csv"), "--method", "naive", "--bins-per-dim", "2"]

@@ -201,6 +201,11 @@ class TestWinsorise:
         with pytest.raises(PreconditionError):
             winsorise(SampleSet([[0.0], [1.0]]), 0.0)
 
+    def test_rejects_infinite_k_by_name(self):
+        # inf * (zero spread) would make the constant column's clip bounds NaN
+        with pytest.raises(PreconditionError, match="k_sigma"):
+            winsorise(SampleSet([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]), float("inf"))
+
 
 class TestEnsemble:
     def test_single_order_equals_plain(self):

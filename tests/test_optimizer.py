@@ -134,6 +134,14 @@ class TestOptimiseRotation:
         with pytest.raises(PreconditionError):
             OptimizerConfig(scan_points=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scan_points", 2.5), ("max_iterations", 2.5), ("starts", 2.5), ("tolerance", float("nan"))],
+    )
+    def test_config_rejects_fractional_count_and_nan_tolerance(self, field, value):
+        with pytest.raises(PreconditionError, match=field):
+            OptimizerConfig(**{field: value})
+
 
 class TestOptimise3d:
     def test_finds_no_worse_than_identity(self):

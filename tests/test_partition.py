@@ -14,6 +14,21 @@ from entropart import (
     partition_from_dict,
     partition_to_dict,
 )
+from entropart.partition import _split_rows
+
+
+def assert_split_rows_match_stable_sort(values, idx):
+    """Each row of ``idx`` is split as a stable argsort of its values alone
+    would split it, down to the sign of a zero split."""
+    left, right, split = _split_rows(values, idx)
+    k = (idx.shape[1] + 1) // 2
+    for row in range(idx.shape[0]):
+        order = np.argsort(values[idx[row]], kind="stable")
+        expected = 0.5 * (values[idx[row][order[k - 1]]] + values[idx[row][order[k]]])
+        assert left[row].tolist() == np.sort(idx[row][order[:k]]).tolist()
+        assert right[row].tolist() == np.sort(idx[row][order[k:]]).tolist()
+        assert split[row].tobytes() == expected.tobytes()
+        assert np.signbit(split[row]) == np.signbit(expected)
 
 
 class TestMedianSplit:
@@ -84,6 +99,30 @@ class TestMedianSplit:
             assert split == 0.0
             order = np.argsort(values, kind="stable")
             assert np.signbit(split) == np.signbit(values[order[149]] + values[order[150]])
+
+    @pytest.mark.parametrize("a", [1, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("kind", ["continuous", "small-integer", "signed-zero"])
+    def test_split_rows_matches_stable_sort_oracle(self, kind, m, a):
+        rng = np.random.default_rng(m * 10 + a)
+        for _ in range(4):
+            n = a * m + 7
+            if kind == "continuous":
+                values = rng.normal(size=n)
+            elif kind == "small-integer":
+                values = rng.integers(-2, 3, size=n).astype(float)
+            else:
+                values = rng.choice([-1.0, -0.0, 0.0, 1.0], size=n)
+            idx = np.sort(rng.permutation(n)[: a * m].reshape(a, m), axis=1)
+            assert_split_rows_match_stable_sort(values, idx)
+
+    @pytest.mark.parametrize("m, seed", [(257, 99), (300, 2), (513, 206), (1000, 117)])
+    def test_split_rows_upper_value_is_not_read_from_position_k(self, m, seed):
+        # a selection at k-1 leaves the values right of it unordered; in these
+        # rows numpy 2.4's quickselect leaves a larger value than the k-th
+        # order statistic at position k
+        values = np.random.default_rng(seed).normal(size=m)
+        assert_split_rows_match_stable_sort(values, np.arange(m).reshape(1, m))
 
 
 class TestBuildEquiprobable:
