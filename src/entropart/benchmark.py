@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_int
 from .estimators import (
     METHOD_EQUIPROBABLE,
     METHOD_MARGINAL,
@@ -126,8 +126,7 @@ def random_covariance(rng: np.random.Generator) -> CovarianceSpec:
 
 def sample_gaussian(cov: CovarianceSpec, n: int, rng: np.random.Generator) -> SampleSet:
     """n i.i.d. zero-mean Gaussian draws via the Cholesky factor of the covariance."""
-    if n < 1:
-        raise PreconditionError(f"sample size must be at least 1, got {n}")
+    require_int(1, n=n)
     factor = np.linalg.cholesky(cov.sigma)
     return SampleSet(rng.standard_normal((n, cov.d)) @ factor.T)
 
@@ -138,6 +137,7 @@ def bootstrap_ci_lower(diffs, level: float = 0.99, resamples: int = 10000, rng=N
     Resamples with replacement, takes means, and returns the
     ``(1 - level)`` quantile of the bootstrap distribution.
     """
+    require_int(1, resamples=resamples)
     diffs = np.asarray(diffs, dtype=float).ravel()
     if diffs.size == 0:
         raise PreconditionError("bootstrap requires at least one observation")
@@ -179,10 +179,8 @@ def run_study(
     entropy and all four estimates, and record absolute percentage errors.
     Trials where an estimator fails are counted and excluded.
     """
-    if trials < 1:
-        raise PreconditionError(f"trials must be at least 1, got {trials}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
+    require_int(1, n=n, trials=trials, bootstrap_resamples=bootstrap_resamples)
+    require_int(0, seed=seed)
     depth, grid = depth_and_grid_for_bins(bins)
     if n < bins:
         raise PreconditionError(f"N={n} < B={bins}; every bin needs at least one sample")

@@ -64,6 +64,9 @@ def entropy_histogram(counts, volumes, n_total: int) -> float:
         raise PreconditionError(
             f"counts ({counts.size}) and volumes ({volumes.size}) must have equal length"
         )
+    for name, values in (("counts", counts), ("volumes", volumes)):
+        if not np.isfinite(values).all():
+            raise PreconditionError(f"bin {name} must be finite")
     if np.any(volumes < 0):
         raise PreconditionError("bin volumes must be non-negative")
     if counts.sum() != n_total:

@@ -127,11 +127,6 @@ class Rotation:
         """Rotation angle in radians, in [0, 2*pi)."""
         return float(4.0 * np.arctan(np.linalg.norm(self.mrp)))
 
-    @property
-    def is_z_axis(self) -> bool:
-        """True when only the z component is nonzero (a planar rotation)."""
-        return self.mrp[0] == 0.0 and self.mrp[1] == 0.0
-
 
 def normalize_angle(theta: float) -> float:
     """Reduce an angle to the canonical [0, 2*pi) range."""
@@ -151,31 +146,34 @@ def mrp_from_angle_2d(theta: float) -> Rotation:
     return Rotation(np.array([0.0, 0.0, np.tan(theta / 4.0)]))
 
 
-def rotation_matrix(rot: Rotation, d: int) -> np.ndarray:
-    """Orthogonal rotation matrix (determinant +1) realizing ``rot`` in d dims.
+def rotation_matrices(mrps, d: int) -> np.ndarray:
+    """Rotation matrices (A, d, d), determinant +1, of the (A, 3) MRPs ``mrps``.
 
-    For d=2 the MRP must be z-axis only and the familiar planar matrix
-    [[cos, -sin], [sin, cos]] is returned; d=3 uses the general MRP map.
+    This is the one map from MRPs to matrices.  For d=2 every MRP must be
+    z-axis only, and ``[0, 0, z]`` gives [[cos, -sin], [sin, cos]] of the
+    signed angle 4*arctan(z): the upper-left block of its d=3 matrix.
     """
+    mrps = np.asarray(mrps, dtype=float)
+    if mrps.ndim != 2 or mrps.shape[1] != 3 or not np.isfinite(mrps).all():
+        raise PreconditionError("MRPs must be an (A, 3) array of finite values")
     if d == 2:
-        if not rot.is_z_axis:
+        if np.any(mrps[:, :2] != 0.0):
             raise PreconditionError("2-D rotation requires a z-axis MRP (zero x/y components)")
-        theta = rot.angle
+        theta = 4.0 * np.arctan(mrps[:, 2])
         c, s = np.cos(theta), np.sin(theta)
-        return np.array([[c, -s], [s, c]])
+        return np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
     if d == 3:
-        sigma = rot.mrp
-        s2 = float(sigma @ sigma)
-        skew = np.array(
-            [
-                [0.0, -sigma[2], sigma[1]],
-                [sigma[2], 0.0, -sigma[0]],
-                [-sigma[1], sigma[0], 0.0],
-            ]
-        )
-        denom = (1.0 + s2) ** 2
+        skew = np.cross(np.eye(3), mrps[:, None, :])  # row i is e_i x mrp
+        s2 = mrps[:, None, :] @ mrps[:, :, None]
+        # libm pow, as a Python float's ** takes it; an ndarray ** 2 multiplies instead
+        denom = np.float_power(1.0 + s2, 2.0)
         return np.eye(3) + (4.0 * (1.0 - s2) / denom) * skew + (8.0 / denom) * (skew @ skew)
     raise PreconditionError(f"rotation matrices are supported for d in {{2, 3}}, got d={d}")
+
+
+def rotation_matrix(rot: Rotation, d: int) -> np.ndarray:
+    """The d-by-d matrix of ``rot``: :func:`rotation_matrices` of its MRP."""
+    return rotation_matrices(rot.mrp[None], d)[0]
 
 
 def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:
@@ -189,9 +187,4 @@ def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:
     if samples.d == 1:
         # nothing to rotate in one dimension; centring is the whole operation
         return SampleSet(centred)
-    if samples.d == 2 and not rot.is_z_axis:
-        raise PreconditionError("2-D samples require a z-axis MRP rotation")
-    if samples.d > 3:
-        raise PreconditionError(f"rotation is supported for d <= 3, got d={samples.d}")
-    m = rotation_matrix(rot, samples.d)
-    return SampleSet(centred @ m.T)
+    return SampleSet(centred @ rotation_matrix(rot, samples.d).T)

@@ -21,12 +21,12 @@ there is no randomness in the optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import DegeneratePartitionError, PreconditionError
+from .errors import DegeneratePartitionError, PreconditionError, require_int
 from .estimators import METHOD_ROTATED, EntropyEstimate, entropy_equiprobable
 from .geometry import (
     TWO_PI,
@@ -35,9 +35,9 @@ from .geometry import (
     mrp_from_angle_2d,
     normalize_angle,
     rotate,
-    rotation_matrix,
+    rotation_matrices,
 )
-from .partition import Partition, bin_volumes, build_equiprobable, leaf_boxes
+from .partition import Partition, bin_volumes, build_equiprobable, leaf_boxes, split_schedule
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -67,21 +67,19 @@ class OptimizerConfig:
     scan_points: int = 1024
 
     def __post_init__(self):
-        for name in ("starts", "max_iterations", "scan_points"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
+        counts = {name: getattr(self, name) for name in ("starts", "max_iterations", "scan_points")}
+        require_int(1, **counts)
         if not self.tolerance > 0:  # also rejects NaN
             raise PreconditionError(f"tolerance must be positive, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
 class ObjectiveEvaluation:
-    """Variance of normalized bin volumes at one orientation."""
+    """Variance of normalized bin volumes at one orientation, and the partition built there."""
 
     rotation: Rotation
     variance: float
-    partition: Optional[Partition] = None
+    partition: Partition
     converged: bool = True
 
 
@@ -99,22 +97,22 @@ def optimise_rotation(
 ):
     """Find the orientation minimising the bin-volume variance.
 
-    Returns ``(rotation, evaluation)`` where the evaluation carries the
-    variance and the partition built at the winning orientation.  The result
-    never exceeds the objective at any start point; exact ties are broken
-    toward the smallest rotation angle so results are reproducible.
+    Returns ``(rotation, evaluation)``.  The evaluation carries the variance
+    the search found at the winning orientation and the one partition built
+    there, both bit for bit what :func:`volume_variance` gives at that
+    rotation, and whether the winning local run met its tolerance.  The
+    result never exceeds the objective at any start point; exact ties are
+    broken toward the smallest rotation angle so results are reproducible.
     """
     config = config or OptimizerConfig()
     if samples.d not in (2, 3):
         raise PreconditionError(f"rotation optimization requires d in {{2, 3}}, got d={samples.d}")
-    # one full build validates depth, sample count, and cycle order up front
-    build_equiprobable(samples, depth, cycle_order)
-    order = tuple(range(samples.d)) if cycle_order is None else tuple(int(i) for i in cycle_order)
-    centred = samples.data - samples.barycentre
+    depth, order = split_schedule(samples, depth, cycle_order)
+    objective = partial(_variances, samples.data - samples.barycentre, depth=depth, order=order)
     search = _optimise_2d if samples.d == 2 else _optimise_3d
-    rot, converged = search(samples, centred, depth, order, config)
-    best = replace(volume_variance(samples, rot, depth, cycle_order), converged=converged)
-    return best.rotation, best
+    rot, variance, converged = search(samples, objective, config)
+    partition = build_equiprobable(rotate(samples, rot), depth, order)
+    return rot, ObjectiveEvaluation(rot, variance, partition, converged)
 
 
 def entropy_rotated(
@@ -131,9 +129,11 @@ def entropy_rotated(
     )
 
 
-def _optimise_2d(samples, centred, depth, order, config):
+def _optimise_2d(samples, variances, config):
     def objective(thetas) -> list[float]:
-        return _variances(centred, _planar_matrices(thetas), depth, order)
+        mrps = np.zeros((len(thetas), 3))
+        mrps[:, 2] = np.tan(np.array([normalize_angle(theta) for theta in thetas]) / 4.0)
+        return variances(mrps)
 
     scan_angles = [TWO_PI * i / config.scan_points for i in range(config.scan_points)]
     extra = _eigenvector_angles_2d(samples) if config.eigenvector_start and samples.n >= 2 else []
@@ -151,19 +151,12 @@ def _optimise_2d(samples, centred, depth, order, config):
     candidates += [(value, normalize_angle(x), ok) for x, value, ok in _lockstep(objective, runs)]
 
     variance, angle, converged = min(candidates, key=lambda c: (c[0], c[1]))
-    return mrp_from_angle_2d(angle), converged
+    return mrp_from_angle_2d(angle), variance, converged
 
 
-def _planar_matrices(thetas) -> np.ndarray:
-    """``rotation_matrix(mrp_from_angle_2d(normalize_angle(theta)), 2).T`` per angle, bitwise."""
-    tan = np.tan(np.array([normalize_angle(theta) for theta in thetas]) / 4.0)
-    angles = 4.0 * np.arctan(np.sqrt(tan * tan))
-    cos, sin = np.cos(angles), np.sin(angles)
-    return np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2).transpose(0, 2, 1)
-
-
-def _variances(centred, matrices, depth, order) -> list[float]:
-    """``volume_variance`` in each frame ``centred @ matrices[i]``, bit for bit, in batches."""
+def _variances(centred, mrps, depth, order) -> list[float]:
+    """``volume_variance`` at each of the (A, 3) MRPs, bit for bit, in batches."""
+    matrices = rotation_matrices(mrps, centred.shape[1]).transpose(0, 2, 1)
     batch = max(1, BATCH_SAMPLES // len(centred))
     variances = []
     for start in range(0, len(matrices), batch):
@@ -288,11 +281,7 @@ def _lockstep(objective, runs) -> list[tuple]:
     return results
 
 
-def _optimise_3d(samples, centred, depth, order, config):
-    def objective(mrps) -> list[float]:
-        matrices = np.stack([rotation_matrix(Rotation(mrp), 3).T for mrp in mrps])
-        return _variances(centred, matrices, depth, order)
-
+def _optimise_3d(samples, objective, config):
     starts = [np.zeros(3)]
     n_axes = max(1, (config.starts - 1) // 3)
     for axis in _fibonacci_axes(n_axes):
@@ -311,7 +300,7 @@ def _optimise_3d(samples, centred, depth, order, config):
         candidates.append((value, Rotation(mrp).angle, mrp, ok))
 
     variance, _, mrp, converged = min(candidates, key=lambda c: (c[0], c[1]))
-    return Rotation(mrp), converged
+    return Rotation(mrp), variance, converged
 
 
 def _fibonacci_axes(m: int) -> np.ndarray:

@@ -59,6 +59,8 @@ def median_split(points, dim: int):
     m = pts.shape[0]
     if m < 2:
         raise PreconditionError("median split requires at least 2 points")
+    if not np.isfinite(pts).all():
+        raise PreconditionError("median split points must be finite")
     if not 0 <= dim < pts.shape[1]:
         raise PreconditionError(f"dimension index {dim} out of range for d={pts.shape[1]}")
     left_idx, right_idx, split = _split_rows(pts[:, dim], np.arange(m).reshape(1, m))
@@ -119,6 +121,29 @@ def leaf_boxes(points: np.ndarray, depth: int, order):
     return lower, upper, np.array([idx.shape[1] for _, _, idx in cells])
 
 
+def split_schedule(samples: SampleSet, depth: int, cycle_order=None) -> tuple[int, tuple]:
+    """``(depth, order)`` of :func:`build_equiprobable`, once its preconditions hold."""
+    if not 0 <= depth < np.inf or depth != int(depth):  # int() of NaN or inf would raise
+        raise PreconditionError(f"depth must be a non-negative integer, got {depth!r}")
+    depth = int(depth)
+    d = samples.d
+    order = tuple(range(d)) if cycle_order is None else tuple(int(i) for i in cycle_order)
+    if sorted(order) != list(range(d)):
+        raise PreconditionError(f"cycle_order {order!r} is not a permutation of 0..{d - 1}")
+    if samples.n.bit_length() <= depth * d:  # N < 2^(s*d), without building the power
+        raise PreconditionError(
+            f"N={samples.n} < 2^(s*d)=2^{depth * d} samples, needed for depth {depth} in {d}-D"
+        )
+    if d == 2 and depth > MAX_RECOMMENDED_BIVARIATE_DEPTH:
+        warnings.warn(
+            f"depth {depth} exceeds the recommended maximum of "
+            f"{MAX_RECOMMENDED_BIVARIATE_DEPTH} for bivariate data; bins will be sample-starved",
+            UserWarning,
+            stacklevel=3,
+        )
+    return depth, order
+
+
 def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Partition:
     """Build the equiprobable k-d tree partition of ``samples`` to a fixed depth.
 
@@ -127,28 +152,9 @@ def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Part
     closed bounding box of the samples; requires N >= 2**(depth*d) so every
     leaf holds at least one sample.
     """
-    if depth != int(depth) or depth < 0:
-        raise PreconditionError(f"depth must be a non-negative integer, got {depth!r}")
-    depth = int(depth)
-    d = samples.d
-    order = tuple(range(d)) if cycle_order is None else tuple(int(i) for i in cycle_order)
-    if sorted(order) != list(range(d)):
-        raise PreconditionError(f"cycle_order {order!r} is not a permutation of 0..{d - 1}")
-    needed = 2 ** (depth * d)
-    if samples.n < needed:
-        raise PreconditionError(
-            f"N={samples.n} < 2^(s*d)={needed} samples required for depth {depth} in {d} dimensions"
-        )
-    if d == 2 and depth > MAX_RECOMMENDED_BIVARIATE_DEPTH:
-        warnings.warn(
-            f"depth {depth} exceeds the recommended maximum of "
-            f"{MAX_RECOMMENDED_BIVARIATE_DEPTH} for bivariate data; bins will be sample-starved",
-            UserWarning,
-            stacklevel=2,
-        )
-
+    depth, order = split_schedule(samples, depth, cycle_order)
     lower, upper, counts = leaf_boxes(samples.data[None], depth, order)
-    return Partition(lower[0], upper[0], counts, depth, d, order, samples.bounding_box)
+    return Partition(lower[0], upper[0], counts, depth, samples.d, order, samples.bounding_box)
 
 
 def bin_volumes(partition: Partition, normalize: bool = False) -> np.ndarray:
@@ -210,10 +216,10 @@ def partition_from_dict(doc: dict) -> Partition:
             f"malformed partition document: cycle_order {list(order)} is not a permutation "
             f"of 0..{dims - 1}"
         )
-    needed = 2 ** (depth * dims)
-    if len(bins) != needed:
+    exponent = depth * dims  # 2**exponent itself can be too large to build
+    if len(bins).bit_length() != exponent + 1 or len(bins) & (len(bins) - 1):
         raise PreconditionError(
-            f"malformed partition document: {len(bins)} bins, not 2^(depth*dims)={needed}"
+            f"malformed partition document: {len(bins)} bins, not 2^(depth*dims)=2^{exponent}"
         )
     if (
         lower.shape != (len(bins), dims)

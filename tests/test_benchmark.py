@@ -171,6 +171,28 @@ class TestRunStudy:
         with pytest.raises(PreconditionError):
             run_study(32, 8, 2, seed=9)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"trials": 2.5}, "trials"),
+            ({"trials": 0}, "trials"),
+            ({"n": 16.5}, "n"),
+            ({"n": 0}, "n"),
+            ({"bootstrap_resamples": 0}, "bootstrap_resamples"),
+            ({"bootstrap_resamples": -1}, "bootstrap_resamples"),
+            ({"bootstrap_resamples": 10.0}, "bootstrap_resamples"),
+        ],
+    )
+    def test_rejects_bad_counts_by_name(self, kwargs, name):
+        args = {"n": 16, "bins": 4, "trials": 2, "seed": 1, **kwargs}
+        with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= 1"):
+            run_study(**args)
+
+    @pytest.mark.parametrize("resamples", [0, -1, 2.5])
+    def test_bootstrap_rejects_bad_resamples_by_name(self, resamples):
+        with pytest.raises(PreconditionError, match="^resamples must be an integer >= 1"):
+            bootstrap_ci_lower([1.0, 2.0], resamples=resamples)
+
     def test_rejects_too_few_samples(self):
         with pytest.raises(PreconditionError):
             run_study(8, 16, 2, seed=10)

@@ -54,6 +54,18 @@ class TestEntropyHistogram:
         with pytest.raises(PreconditionError):
             entropy_histogram([1, 2], [0.5, 0.5], 4)
 
+    @pytest.mark.parametrize(
+        "counts, volumes, name",
+        [
+            ([1, 1], [np.nan, 1.0], "volumes"),
+            ([1, 1], [np.inf, 1.0], "volumes"),
+            ([np.nan, 2], [1.0, 1.0], "counts"),
+        ],
+    )
+    def test_rejects_non_finite_input_by_name(self, counts, volumes, name):
+        with pytest.raises(PreconditionError, match=f"bin {name} must be finite"):
+            entropy_histogram(counts, volumes, 2)
+
     def test_negative_volume(self):
         with pytest.raises(PreconditionError):
             entropy_histogram([1, 2], [0.5, -0.5], 3)

@@ -11,6 +11,18 @@ from entropart import (
     rotate,
     rotation_matrix,
 )
+from entropart.geometry import rotation_matrices
+
+
+def scalar_rotation_matrix(mrp, d):
+    """The MRP map in Python-float arithmetic, one rotation at a time."""
+    if d == 2:
+        theta = float(4.0 * np.arctan(mrp[2]))
+        return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    s2 = float(mrp @ mrp)
+    skew = np.array([[0.0, -mrp[2], mrp[1]], [mrp[2], 0.0, -mrp[0]], [-mrp[1], mrp[0], 0.0]])
+    denom = (1.0 + s2) ** 2
+    return np.eye(3) + (4.0 * (1.0 - s2) / denom) * skew + (8.0 / denom) * (skew @ skew)
 
 
 class TestSampleSet:
@@ -99,11 +111,29 @@ class TestRotationMatrix:
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
 
     def test_z_only_3d_block_matches_2d(self):
-        rot = mrp_from_angle_2d(1.234)
-        m3 = rotation_matrix(rot, 3)
-        m2 = rotation_matrix(rot, 2)
-        assert np.allclose(m3[:2, :2], m2, atol=1e-12)
-        assert m3[2, 2] == pytest.approx(1.0, abs=1e-12)
+        # a negative z turns clockwise in both, so the 2-D angle keeps the sign of z
+        z_only = [Rotation([0.0, 0.0, z]) for z in (-2.0, -0.3, 0.3, 2.0)]
+        for rot in [mrp_from_angle_2d(1.234)] + z_only:
+            m3 = rotation_matrix(rot, 3)
+            m2 = rotation_matrix(rot, 2)
+            assert np.allclose(m3[:2, :2], m2, atol=1e-12)
+            assert m3[2, 2] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_batched_map_matches_scalar_arithmetic_bit_for_bit(self, d):
+        rng = np.random.default_rng(8)
+        mrps = rng.normal(scale=2.0, size=(200, 3))
+        if d == 2:
+            mrps[:, :2] = 0.0
+        for mrp, m in zip(mrps, rotation_matrices(mrps, d)):
+            assert m.tobytes() == scalar_rotation_matrix(mrp, d).tobytes()
+
+    @pytest.mark.parametrize(
+        "mrps", [np.zeros(3), np.zeros((2, 2)), [[0.0, 0.0, np.nan]], [[0.0, 0.0, np.inf]]]
+    )
+    def test_batched_map_rejects_bad_mrps(self, mrps):
+        with pytest.raises(PreconditionError, match="MRPs"):
+            rotation_matrices(mrps, 3)
 
     def test_2d_rejects_tilted_mrp(self):
         with pytest.raises(PreconditionError):
@@ -121,6 +151,13 @@ class TestRotate:
         s = SampleSet([[1.0, 0.0], [-1.0, 0.0]])
         out = rotate(s, mrp_from_angle_2d(np.pi / 2.0))
         assert np.allclose(out.data, [[0.0, 1.0], [0.0, -1.0]], atol=1e-12)
+
+    def test_negative_z_turns_the_same_way_in_2d_and_3d(self):
+        rot = Rotation([0.0, 0.0, -np.tan(np.pi / 8.0)])  # a quarter turn clockwise
+        planar = rotate(SampleSet([[1.0, 0.0], [-1.0, 0.0]]), rot).data
+        spatial = rotate(SampleSet([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), rot).data
+        assert np.allclose(planar, [[0.0, -1.0], [0.0, 1.0]], atol=1e-12)
+        assert np.allclose(spatial[:, :2], planar, atol=1e-12)
 
     def test_zero_angle_centres_only(self):
         rng = np.random.default_rng(3)

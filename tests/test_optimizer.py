@@ -20,15 +20,7 @@ from entropart import (
     rotate,
     volume_variance,
 )
-from entropart.geometry import rotation_matrix
-from entropart.optimizer import (
-    BATCH_SAMPLES,
-    _golden_section,
-    _lockstep,
-    _nelder_mead,
-    _planar_matrices,
-    _variances,
-)
+from entropart.optimizer import BATCH_SAMPLES, _golden_section, _lockstep, _nelder_mead, _variances
 
 FAST = OptimizerConfig(scan_points=256)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -240,7 +232,8 @@ def correlated_sample(n, decimals=None, seed=90):
 
 def planar_variances(sample, thetas, depth):
     """The 2-D search objective: volume variance at each angle, in batches."""
-    return _variances(sample.data - sample.barycentre, _planar_matrices(thetas), depth, (0, 1))
+    mrps = [mrp_from_angle_2d(normalize_angle(theta)).mrp for theta in thetas]
+    return _variances(sample.data - sample.barycentre, mrps, depth, (0, 1))
 
 
 class TestBatchedSearch:
@@ -260,11 +253,32 @@ class TestBatchedSearch:
             data = rng.normal(size=(1024, 3)) @ rng.normal(size=(3, 3))
             s = SampleSet(data if decimals is None else np.round(data, decimals))
             rotations = [Rotation(m) for m in rng.normal(scale=0.6, size=(200, 3))]
-            matrices = np.stack([rotation_matrix(r, 3).T for r in rotations])
-            batched = _variances(s.data - s.barycentre, matrices, 2, (0, 1, 2))
+            batched = _variances(s.data - s.barycentre, [r.mrp for r in rotations], 2, (0, 1, 2))
         assert len(rotations) > BATCH_SAMPLES // s.n
         for rot, value in zip(rotations, batched):
             assert value == volume_variance(s, rot, 2).variance
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("decimals", [None, 1])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_search_evaluation_is_volume_variance_bit_for_bit(self, reverse, decimals, d):
+        # the search keeps the variance it found and builds the partition
+        # itself; both must be what the public objective gives at the winner
+        rng = np.random.default_rng(93)
+        data = rng.normal(size=(300, d)) @ rng.normal(size=(d, d))
+        s = SampleSet(data if decimals is None else np.round(data, decimals))
+        order = tuple(reversed(range(d))) if reverse else None
+        depth, config = (2, FAST) if d == 2 else (1, OptimizerConfig(starts=4, max_iterations=40))
+        rot, ev = optimise_rotation(s, depth, config, order)
+        reference = volume_variance(s, rot, depth, order)
+        assert ev.rotation is rot and ev.variance == reference.variance
+        got, want = ev.partition, reference.partition
+        for name in ("lower", "upper", "counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert got.support.lower.tobytes() == want.support.lower.tobytes()
+        assert got.support.upper.tobytes() == want.support.upper.tobytes()
+        assert (got.depth, got.dims, got.cycle_order) == (want.depth, want.dims, want.cycle_order)
 
     @pytest.mark.parametrize(
         "sample, depth, max_iterations",

@@ -57,6 +57,11 @@ class TestMedianSplit:
         with pytest.raises(PreconditionError):
             median_split(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points_by_name(self, bad):
+        with pytest.raises(PreconditionError, match="points must be finite"):
+            median_split(np.array([1.0, bad, 2.0, 3.0]), 0)
+
     def test_2d_split_keeps_rows(self):
         pts = np.array([[3.0, 0.0], [1.0, 1.0], [2.0, 2.0], [4.0, 3.0]])
         left, right, split = median_split(pts, 0)
@@ -228,8 +233,16 @@ class TestBuildEquiprobable:
 
     def test_insufficient_samples(self):
         s = SampleSet(np.random.default_rng(0).normal(size=(15, 2)))
-        with pytest.raises(PreconditionError, match="2\\^\\(s\\*d\\)"):
-            build_equiprobable(s, 2)
+        for depth in (2, 10**4):  # 2^(2*10^4) has more digits than str() will print
+            with pytest.raises(PreconditionError, match="2\\^\\(s\\*d\\)"):
+                build_equiprobable(s, depth)
+        assert build_equiprobable(SampleSet(np.vstack([s.data, [[0.0, 0.0]]])), 2).bin_count == 16
+
+    @pytest.mark.parametrize("depth", [-1, 1.5, np.nan, np.inf])
+    def test_rejects_bad_depth_by_name(self, depth):
+        s = SampleSet(np.random.default_rng(0).normal(size=(16, 2)))
+        with pytest.raises(PreconditionError, match="depth must be a non-negative integer"):
+            build_equiprobable(s, depth)
 
     def test_invalid_cycle_order(self):
         s = SampleSet(np.random.default_rng(0).normal(size=(8, 2)))
@@ -316,6 +329,7 @@ class TestSerialization:
             "negative dims",
             "bounds not dims wide",
             "repeated cycle_order entry",
+            "depth whose bin count has over 4300 digits",
         ],
     )
     def test_malformed_bins_rejected(self, case):
@@ -357,7 +371,9 @@ class TestSerialization:
             doc["dims"] = -2
         elif case == "bounds not dims wide":  # 4 bins of depth 2 in one dimension
             doc["depth"], doc["dims"], doc["cycle_order"] = 2, 1, [0]
-        else:
+        elif case == "repeated cycle_order entry":
             doc["cycle_order"] = [0, 0]
+        else:  # 2**(depth*dims) is never built, so neither its cost nor str()'s limit applies
+            doc["depth"] = 10**6
         with pytest.raises(PreconditionError, match="malformed partition document"):
             partition_from_dict(doc)
