@@ -141,6 +141,8 @@ def bootstrap_ci_lower(diffs, level: float = 0.99, resamples: int = 10000, rng=N
     diffs = np.asarray(diffs, dtype=float).ravel()
     if diffs.size == 0:
         raise PreconditionError("bootstrap requires at least one observation")
+    if not np.isfinite(diffs).all():
+        raise PreconditionError("bootstrap diffs must be finite")
     if not 0.0 < level < 1.0:
         raise PreconditionError(f"confidence level must be in (0, 1), got {level!r}")
     if rng is None:
@@ -156,6 +158,7 @@ def bootstrap_ci_lower(diffs, level: float = 0.99, resamples: int = 10000, rng=N
 
 def depth_and_grid_for_bins(bins: int) -> tuple[int, int]:
     """Resolve a shared bivariate bin count B = 4**s into (depth s, grid k = 2**s)."""
+    require_int(0, bins=bins)
     if bins >= 4:
         s = round(math.log(bins, 4))
         if 4**s == bins:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneratePartitionError, PreconditionError
+from .errors import DegeneratePartitionError, PreconditionError, require_int
 from .geometry import Rotation, SampleSet
 from .partition import Partition, bin_volumes, build_equiprobable
 
@@ -109,7 +109,8 @@ def entropy_equiprobable_estimate(
 
 def entropy_naive(samples: SampleSet, bins_per_dim: int) -> EntropyEstimate:
     """Entropy from an equal-width grid of ``bins_per_dim**d`` cells over the bounding box."""
-    k = _validate_bins_per_dim(bins_per_dim)
+    require_int(1, bins_per_dim=bins_per_dim)
+    k = int(bins_per_dim)
     bb = samples.bounding_box
     if np.any(bb.widths == 0.0):
         raise PreconditionError("zero-width support dimension; equal-width cells are degenerate")
@@ -130,7 +131,8 @@ def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> Ent
     Duplicate cut points (heavy ties) produce zero-width slabs which are
     merged; the eliminated cells are reported via ``degenerate_bins``.
     """
-    k = _validate_bins_per_dim(bins_per_dim)
+    require_int(1, bins_per_dim=bins_per_dim)
+    k = int(bins_per_dim)
     n, d = samples.n, samples.d
     if n < k:
         raise PreconditionError(f"N={n} < bins_per_dim={k}; too few samples to quantise")
@@ -187,8 +189,3 @@ def ensemble_estimate(samples: SampleSet, depth: int, orders) -> EntropyEstimate
         bin_count=2 ** (depth * samples.d),
     )
 
-
-def _validate_bins_per_dim(bins_per_dim: int) -> int:
-    if bins_per_dim != int(bins_per_dim) or bins_per_dim < 1:
-        raise PreconditionError(f"bins_per_dim must be a positive integer, got {bins_per_dim!r}")
-    return int(bins_per_dim)

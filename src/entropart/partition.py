@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePartitionError, PreconditionError
+from .errors import DegeneratePartitionError, PreconditionError, require_int
 from .geometry import BoundingBox, SampleSet
 
 # beyond this depth bivariate bins hold too few samples to be informative
@@ -61,7 +61,8 @@ def median_split(points, dim: int):
         raise PreconditionError("median split requires at least 2 points")
     if not np.isfinite(pts).all():
         raise PreconditionError("median split points must be finite")
-    if not 0 <= dim < pts.shape[1]:
+    require_int(0, dim=dim)
+    if dim >= pts.shape[1]:
         raise PreconditionError(f"dimension index {dim} out of range for d={pts.shape[1]}")
     left_idx, right_idx, split = _split_rows(pts[:, dim], np.arange(m).reshape(1, m))
     left, right = pts[left_idx[0]], pts[right_idx[0]]
@@ -123,25 +124,24 @@ def leaf_boxes(points: np.ndarray, depth: int, order):
 
 def split_schedule(samples: SampleSet, depth: int, cycle_order=None) -> tuple[int, tuple]:
     """``(depth, order)`` of :func:`build_equiprobable`, once its preconditions hold."""
-    if not 0 <= depth < np.inf or depth != int(depth):  # int() of NaN or inf would raise
-        raise PreconditionError(f"depth must be a non-negative integer, got {depth!r}")
-    depth = int(depth)
-    d = samples.d
-    order = tuple(range(d)) if cycle_order is None else tuple(int(i) for i in cycle_order)
-    if sorted(order) != list(range(d)):
-        raise PreconditionError(f"cycle_order {order!r} is not a permutation of 0..{d - 1}")
+    require_int(0, depth=depth)
+    depth, d = int(depth), samples.d
+    order = tuple(range(d)) if cycle_order is None else _permutation(cycle_order, d)
     if samples.n.bit_length() <= depth * d:  # N < 2^(s*d), without building the power
         raise PreconditionError(
             f"N={samples.n} < 2^(s*d)=2^{depth * d} samples, needed for depth {depth} in {d}-D"
         )
-    if d == 2 and depth > MAX_RECOMMENDED_BIVARIATE_DEPTH:
-        warnings.warn(
-            f"depth {depth} exceeds the recommended maximum of "
-            f"{MAX_RECOMMENDED_BIVARIATE_DEPTH} for bivariate data; bins will be sample-starved",
-            UserWarning,
-            stacklevel=3,
-        )
     return depth, order
+
+
+def _permutation(cycle_order, d: int) -> tuple[int, ...]:
+    """``cycle_order`` as a tuple of Python ints, once it is a permutation of 0..d-1."""
+    order = tuple(cycle_order)
+    require_int(0, **{f"cycle_order[{i}]": entry for i, entry in enumerate(order)})
+    order = tuple(map(int, order))  # JSON export needs Python ints
+    if sorted(order) != list(range(d)):
+        raise PreconditionError(f"cycle_order {order!r} is not a permutation of 0..{d - 1}")
+    return order
 
 
 def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Partition:
@@ -153,6 +153,13 @@ def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Part
     leaf holds at least one sample.
     """
     depth, order = split_schedule(samples, depth, cycle_order)
+    if samples.d == 2 and depth > MAX_RECOMMENDED_BIVARIATE_DEPTH:
+        warnings.warn(
+            f"depth {depth} exceeds the recommended maximum of "
+            f"{MAX_RECOMMENDED_BIVARIATE_DEPTH} for bivariate data; bins will be sample-starved",
+            UserWarning,
+            stacklevel=2,
+        )
     lower, upper, counts = leaf_boxes(samples.data[None], depth, order)
     return Partition(lower[0], upper[0], counts, depth, samples.d, order, samples.bounding_box)
 
@@ -205,17 +212,14 @@ def partition_from_dict(doc: dict) -> Partition:
         bins = doc["bins"]
         lower = np.array([b["lower"] for b in bins], dtype=float)
         upper = np.array([b["upper"] for b in bins], dtype=float)
-        counts = np.array([_whole(b["count"], "count") for b in bins], dtype=int)
+        require_int(0, **{f"bins[{i}].count": b["count"] for i, b in enumerate(bins)})
+        counts = np.array([b["count"] for b in bins], dtype=int)
         volumes = np.array([float(b["volume"]) for b in bins])
-        depth, dims = _whole(doc["depth"], "depth"), _whole(doc["dims"], "dims")
-        order = tuple(_whole(i, "cycle_order entry") for i in doc["cycle_order"])
+        require_int(0, depth=doc["depth"], dims=doc["dims"])
+        depth, dims = int(doc["depth"]), int(doc["dims"])
+        order = _permutation(doc["cycle_order"], dims)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed partition document: {exc}") from exc
-    if sorted(order) != list(range(dims)):
-        raise PreconditionError(
-            f"malformed partition document: cycle_order {list(order)} is not a permutation "
-            f"of 0..{dims - 1}"
-        )
     exponent = depth * dims  # 2**exponent itself can be too large to build
     if len(bins).bit_length() != exponent + 1 or len(bins) & (len(bins) - 1):
         raise PreconditionError(
@@ -233,10 +237,3 @@ def partition_from_dict(doc: dict) -> Partition:
         raise PreconditionError("malformed partition document: volume is not the product of widths")
     return partition
 
-
-def _whole(value, name: str) -> int:
-    """``value`` as an int, if it is already a non-negative integer."""
-    number = int(value)
-    if number != value or number < 0:
-        raise ValueError(f"{name} {value!r} is not a non-negative integer")
-    return number

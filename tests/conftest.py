@@ -10,6 +10,10 @@ import statistics
 
 import numpy as np
 
+# every count argument must refuse each of these by name: a fraction, an
+# integral float, NaN, infinity and a negative
+BAD_COUNTS = (2.5, 2.0, math.nan, math.inf, -1)
+
 
 def recount_by_membership(data, bins_lower, bins_upper, support_upper):
     """Brute-force sample counts per bin under the closed-open box convention.

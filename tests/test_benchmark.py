@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import BAD_COUNTS
 
 from entropart import (
     CovarianceSpec,
@@ -119,6 +120,12 @@ class TestBootstrap:
         with pytest.raises(PreconditionError):
             bootstrap_ci_lower([1.0, 2.0], level=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_diffs_by_name(self, bad):
+        # NaN would come back as the bound, and inf as a finite bound for an infinite mean
+        with pytest.raises(PreconditionError, match="diffs must be finite"):
+            bootstrap_ci_lower([bad, 1.0])
+
 
 class TestBinPairing:
     def test_valid_pairings(self):
@@ -181,14 +188,22 @@ class TestRunStudy:
             ({"bootstrap_resamples": 0}, "bootstrap_resamples"),
             ({"bootstrap_resamples": -1}, "bootstrap_resamples"),
             ({"bootstrap_resamples": 10.0}, "bootstrap_resamples"),
-        ],
+        ]
+        + [({name: v}, name) for name in ("n", "trials", "bootstrap_resamples") for v in BAD_COUNTS],
     )
     def test_rejects_bad_counts_by_name(self, kwargs, name):
         args = {"n": 16, "bins": 4, "trials": 2, "seed": 1, **kwargs}
         with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= 1"):
             run_study(**args)
 
-    @pytest.mark.parametrize("resamples", [0, -1, 2.5])
+    @pytest.mark.parametrize("name", ["bins", "seed"])
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_rejects_bad_bins_and_seed_by_name(self, name, value):
+        args = {"n": 16, "bins": 4, "trials": 2, "seed": 1, name: value}
+        with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= 0"):
+            run_study(**args)
+
+    @pytest.mark.parametrize("resamples", [0, -1, 2.5, 2.0, math.nan, math.inf])
     def test_bootstrap_rejects_bad_resamples_by_name(self, resamples):
         with pytest.raises(PreconditionError, match="^resamples must be an integer >= 1"):
             bootstrap_ci_lower([1.0, 2.0], resamples=resamples)

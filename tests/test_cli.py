@@ -130,6 +130,22 @@ class TestReadCsv:
         assert data.dtype == oracle.dtype and data.shape == oracle.shape
         assert data.tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_end_at_the_scan_chunk_boundary(self, tmp_path, end):
+        # lines of 17 characters plus the line end; padding the first line puts a
+        # CR on the last byte of the first MB, so a CRLF straddles the boundary
+        rows = [f"{x:.6f},{y:.6f}" for x, y in np.random.default_rng(9).uniform(1, 2, (70000, 2))]
+        length = len(rows[0]) + len(end)
+        pad = (2**20 - 1 + len(end)) % length
+        text = " " * pad + end.join(rows) + end
+        assert text[2**20 - 1] == "\r"
+        p = tmp_path / "large.csv"
+        p.write_bytes(text.encode("utf-8"))
+        oracle = np.array([[float(f) for f in line.split(",")] for line in text.splitlines()])
+        data = read_samples_csv(str(p)).data
+        assert data.shape == oracle.shape == (70000, 2)
+        assert data.tobytes() == oracle.tobytes()
+
 
 class TestEstimateCommand:
     def test_equiprobable_on_corners(self, capsys, corners_csv):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import gaussian_quantile_entropy
+from conftest import BAD_COUNTS, gaussian_quantile_entropy
 from scipy.stats import norm, spearmanr
 
 from entropart import (
@@ -185,6 +185,13 @@ class TestEntropyMarginalEquiquantised:
     def test_too_few_samples(self):
         with pytest.raises(PreconditionError):
             entropy_marginal_equiquantised(SampleSet([[0.0, 1.0], [1.0, 0.0]]), 3)
+
+
+@pytest.mark.parametrize("estimator", [entropy_naive, entropy_marginal_equiquantised])
+@pytest.mark.parametrize("bins_per_dim", BAD_COUNTS)
+def test_grid_rejects_bad_bins_per_dim_by_name(estimator, bins_per_dim):
+    with pytest.raises(PreconditionError, match="^bins_per_dim must be an integer >= 1"):
+        estimator(SampleSet(UNIT_SQUARE_CORNERS), bins_per_dim)
 
 
 class TestWinsorise:

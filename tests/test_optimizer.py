@@ -1,10 +1,11 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from conftest import circular_distance
+from conftest import BAD_COUNTS, circular_distance
 from scipy import optimize
 
 from entropart import (
@@ -128,11 +129,26 @@ class TestOptimiseRotation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("scan_points", 2.5), ("max_iterations", 2.5), ("starts", 2.5), ("tolerance", float("nan"))],
+        [("scan_points", 2.5), ("max_iterations", 2.5), ("starts", 2.5), ("tolerance", float("nan"))]
+        + [
+            (field, value)
+            for field in ("scan_points", "max_iterations", "starts")
+            for value in BAD_COUNTS
+            if value != 2.5
+        ],
     )
     def test_config_rejects_fractional_count_and_nan_tolerance(self, field, value):
         with pytest.raises(PreconditionError, match=field):
             OptimizerConfig(**{field: value})
+
+    def test_deep_bivariate_warns_once(self):
+        s = SampleSet(np.random.default_rng(5).normal(size=(1024, 2)))
+        config = OptimizerConfig(starts=1, max_iterations=4, scan_points=8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            optimise_rotation(s, 5, config)
+        assert [w.category for w in caught] == [UserWarning]
+        assert "recommended maximum" in str(caught[0].message)
 
 
 class TestOptimise3d:

@@ -1,8 +1,10 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
-from conftest import recount_by_membership, reference_partition_volumes
+from conftest import BAD_COUNTS, recount_by_membership, reference_partition_volumes
 
 from entropart import (
     DegeneratePartitionError,
@@ -56,6 +58,11 @@ class TestMedianSplit:
     def test_bad_dimension(self):
         with pytest.raises(PreconditionError):
             median_split(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
+
+    @pytest.mark.parametrize("dim", BAD_COUNTS)
+    def test_rejects_bad_dim_by_name(self, dim):
+        with pytest.raises(PreconditionError, match="^dim must be an integer >= 0"):
+            median_split(np.arange(12.0).reshape(4, 3), dim)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_points_by_name(self, bad):
@@ -238,16 +245,27 @@ class TestBuildEquiprobable:
                 build_equiprobable(s, depth)
         assert build_equiprobable(SampleSet(np.vstack([s.data, [[0.0, 0.0]]])), 2).bin_count == 16
 
-    @pytest.mark.parametrize("depth", [-1, 1.5, np.nan, np.inf])
+    @pytest.mark.parametrize("depth", [-1, 1.5, np.nan, np.inf, 2.5, 2.0])
     def test_rejects_bad_depth_by_name(self, depth):
         s = SampleSet(np.random.default_rng(0).normal(size=(16, 2)))
-        with pytest.raises(PreconditionError, match="depth must be a non-negative integer"):
+        with pytest.raises(PreconditionError, match="depth must be an integer >= 0"):
             build_equiprobable(s, depth)
 
     def test_invalid_cycle_order(self):
         s = SampleSet(np.random.default_rng(0).normal(size=(8, 2)))
         with pytest.raises(PreconditionError):
             build_equiprobable(s, 1, (0, 0))
+
+    @pytest.mark.parametrize("entry", BAD_COUNTS)
+    def test_rejects_bad_cycle_order_entry_by_name(self, entry):
+        s = SampleSet(np.random.default_rng(0).normal(size=(8, 2)))
+        with pytest.raises(PreconditionError, match=r"^cycle_order\[1\] must be an integer >= 0"):
+            build_equiprobable(s, 1, (0, entry))
+
+    def test_numpy_cycle_order_exports_to_json(self):
+        s = SampleSet(np.random.default_rng(0).normal(size=(8, 2)))
+        p = build_equiprobable(s, 1, np.array([1, 0]))
+        assert json.loads(json.dumps(partition_to_dict(p)))["cycle_order"] == [1, 0]
 
     def test_depth_zero_single_bin(self):
         s = SampleSet([[0.0, 0.0], [2.0, 3.0]])
@@ -330,12 +348,18 @@ class TestSerialization:
             "bounds not dims wide",
             "repeated cycle_order entry",
             "depth whose bin count has over 4300 digits",
+        ]
+        + [
+            f"{field} = {bad}"
+            for field in ("depth", "dims", "bins[0].count", "cycle_order[1]")
+            for bad in ("2.5", "integral float", "nan", "inf", "-1")
         ],
     )
     def test_malformed_bins_rejected(self, case):
         p = build_equiprobable(SampleSet(np.random.default_rng(41).normal(size=(32, 2))), 1)
         doc = json.loads(json.dumps(partition_to_dict(p)))
         b = doc["bins"][0]
+        match = "malformed partition document"
         if case == "non-numeric count":
             b["count"] = "eight"
         elif case == "non-numeric volume":
@@ -373,7 +397,24 @@ class TestSerialization:
             doc["depth"], doc["dims"], doc["cycle_order"] = 2, 1, [0]
         elif case == "repeated cycle_order entry":
             doc["cycle_order"] = [0, 0]
-        else:  # 2**(depth*dims) is never built, so neither its cost nor str()'s limit applies
+        elif case == "depth whose bin count has over 4300 digits":
+            # 2**(depth*dims) is never built, so neither its cost nor str()'s limit applies
             doc["depth"] = 10**6
-        with pytest.raises(PreconditionError, match="malformed partition document"):
+        else:  # "<field> = <bad value>", and the message names the field
+            field, bad = case.split(" = ")
+            holder, key = {
+                "depth": (doc, "depth"),
+                "dims": (doc, "dims"),
+                "bins[0].count": (b, "count"),
+                "cycle_order[1]": (doc["cycle_order"], 1),
+            }[field]
+            holder[key] = {
+                "2.5": 2.5,
+                "integral float": float(holder[key]),
+                "nan": math.nan,
+                "inf": math.inf,
+                "-1": -1,
+            }[bad]
+            match += f": {re.escape(field)} must be an integer >= 0"
+        with pytest.raises(PreconditionError, match=match):
             partition_from_dict(doc)
