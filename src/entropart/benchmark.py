@@ -128,7 +128,7 @@ def sample_gaussian(cov: CovarianceSpec, n: int, rng: np.random.Generator) -> Sa
     """n i.i.d. zero-mean Gaussian draws via the Cholesky factor of the covariance."""
     require_int(1, n=n)
     factor = np.linalg.cholesky(cov.sigma)
-    return SampleSet(rng.standard_normal((n, cov.d)) @ factor.T)
+    return SampleSet._adopt(rng.standard_normal((n, cov.d)) @ factor.T)
 
 
 def bootstrap_ci_lower(diffs, level: float = 0.99, resamples: int = 10000, rng=None) -> float:

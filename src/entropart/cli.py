@@ -73,7 +73,7 @@ def read_samples_csv(path: str, has_header: bool = False) -> SampleSet:
                         fh, delimiter=",", comments=None, ndmin=2, skiprows=int(has_header)
                     )
                 if data.shape[0] == expected and np.isfinite(data).all():
-                    return SampleSet(data)
+                    return SampleSet._adopt(data)
         except ValueError:  # includes UnicodeDecodeError
             pass
         return _parse_lines(path, has_header)
@@ -146,7 +146,7 @@ def _parse_lines(path: str, has_header: bool) -> SampleSet:
         rows.append(row)
     if not rows:
         raise CsvParseError("no data rows")
-    return SampleSet(np.array(rows))
+    return SampleSet._adopt(np.array(rows))
 
 
 def _parse_cycle_order(text: str | None):

@@ -171,7 +171,7 @@ def winsorise(samples: SampleSet, k_sigma: float = 3.0) -> SampleSet:
         raise PreconditionError(f"k_sigma must be positive and finite, got {k_sigma!r}")
     mean = samples.barycentre
     std = samples.data.std(axis=0)
-    return SampleSet(np.clip(samples.data, mean - k_sigma * std, mean + k_sigma * std))
+    return SampleSet._adopt(np.clip(samples.data, mean - k_sigma * std, mean + k_sigma * std))
 
 
 def ensemble_estimate(samples: SampleSet, depth: int, orders) -> EntropyEstimate:

@@ -66,7 +66,16 @@ class SampleSet:
     """
 
     def __init__(self, data):
-        arr = np.array(data, dtype=float)
+        self._own(np.array(data, dtype=float))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> SampleSet:
+        """A sample set over ``arr`` itself, not a copy: for a new array that no one else holds."""
+        samples = cls.__new__(cls)
+        samples._own(np.asarray(arr, dtype=float))
+        return samples
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
@@ -186,5 +195,5 @@ def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:
     centred = samples.data - samples.barycentre
     if samples.d == 1:
         # nothing to rotate in one dimension; centring is the whole operation
-        return SampleSet(centred)
-    return SampleSet(centred @ rotation_matrix(rot, samples.d).T)
+        return SampleSet._adopt(centred)
+    return SampleSet._adopt(centred @ rotation_matrix(rot, samples.d).T)

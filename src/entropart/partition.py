@@ -71,55 +71,71 @@ def median_split(points, dim: int):
     return left, right, float(split[0])
 
 
-def _split_rows(values_flat: np.ndarray, idx: np.ndarray):
-    """Median-split each ascending row of the (A, m) index matrix ``idx`` into ``values_flat``.
+def _split_rows(values_flat: np.ndarray, idx: np.ndarray, out=None):
+    """Median-split each ascending row of the (R, m) index matrix ``idx`` into ``values_flat``.
 
-    Returns left and right index matrices, rows ascending, and the (A,) split
+    Returns left and right index matrices, rows ascending, and the (R,) split
     coordinates.  Each row selects its k-th smallest value once; the minimum of
     the values to its right is the next order statistic.  Where the two tie,
-    only a stable sort of the row knows which tied rows go left.
+    only a stable sort of the row knows which tied rows go left.  The index
+    matrices are views of ``out`` (new if None), a flat C-contiguous array of
+    ``idx.size`` that holds all left rows, then all right rows.
     """
     values = values_flat.take(idx)
     a, m = values.shape
     k = (m + 1) // 2
     # a single kth takes numpy's SIMD quickselect; a tuple kth does not
     selected = np.partition(values, k - 1, axis=1)
-    below, above = selected[:, k - 1], selected[:, k:].min(axis=1)
+    below, above = selected[:, k - 1].copy(), selected[:, k:].min(axis=1)
     right = values > below[:, None]
     for row in (below == above).nonzero()[0]:  # the sort also orders -0.0 and 0.0
         order = values[row].argsort(kind="stable")
         below[row], above[row] = values[row, order[k - 1]], values[row, order[k]]
         right[row, order[:k]], right[row, order[k:]] = False, True
+    del values, selected  # before the takes allocate: a large build peaks at the selection
+    out = np.empty(idx.size, idx.dtype) if out is None else out
     # flat positions of each side come row by row, ascending; take beats 2-D fancy indexing
-    left_idx = idx.take((~right).ravel().nonzero()[0]).reshape(a, k)
-    right_idx = idx.take(right.ravel().nonzero()[0]).reshape(a, m - k)
-    return left_idx, right_idx, 0.5 * (below + above)
+    idx.take((~right).ravel().nonzero()[0], out=out[: a * k], mode="clip")
+    idx.take(right.ravel().nonzero()[0], out=out[a * k :], mode="clip")
+    return out[: a * k].reshape(a, k), out[a * k :].reshape(a, m - k), 0.5 * (below + above)
 
 
 def leaf_boxes(points: np.ndarray, depth: int, order):
     """Leaves of the equiprobable trees of A point sets of shape (A, N, d), such as A rotations.
 
-    Cell sizes depend only on N and the split schedule, so each cell is split
-    for all A sets at once.  Returns ``lower`` and ``upper`` of shape (A, B, d),
-    each root box being its set's bounding box, and ``counts`` of shape (B,).
+    After j splits every cell holds ceil(N/2^j) or floor(N/2^j) points, so a
+    level is at most two groups of same-size cells, and one ``_split_rows`` call
+    splits a group for all A sets.  A group holds its cells' tree positions
+    (C,), boxes (C, A, d) and index rows (C*A, m), cell by cell.  A level's
+    children fill one index array group by group, left rows before right; those
+    of one size lie side by side, larger first, and form the next level's group.
+    Returns ``lower`` and ``upper`` (A, B, d) in tree order, left child before
+    right, each root box being its set's bounding box, and ``counts`` (B,).
     """
     a, n, d = points.shape
     columns = np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(d, a * n)
     by_set = columns.reshape(d, a, n)  # reducing the contiguous axis is much the fastest
-    cells = [(by_set.min(axis=2).T, by_set.max(axis=2).T, np.arange(a * n).reshape(a, n))]
-    for _ in range(depth):
-        for dim in order:
-            split_cells = []
-            for lo, hi, idx in cells:
-                left, right, split = _split_rows(columns[dim], idx)
-                left_hi, right_lo = hi.copy(), lo.copy()
-                left_hi[:, dim] = right_lo[:, dim] = split
-                split_cells += [(lo, left_hi, left), (right_lo, hi, right)]
-            cells = split_cells
+    root = (by_set.min(axis=2).T[None], by_set.max(axis=2).T[None])
+    groups = [(np.zeros(1, dtype=np.intp), *root, np.arange(a * n).reshape(a, n))]
+    for dim in tuple(order) * depth:
+        level, at, kids = np.empty(a * n, dtype=np.intp), 0, {}
+        for pos, lo, hi, idx in groups:
+            left, right, split = _split_rows(columns[dim], idx, level[at : (at := at + idx.size)])
+            left_hi, right_lo = hi.copy(), lo.copy()
+            left_hi[..., dim] = right_lo[..., dim] = split.reshape(len(pos), a)
+            kids.setdefault(left.shape[1], []).append((2 * pos, lo, left_hi))
+            kids.setdefault(right.shape[1], []).append((2 * pos + 1, right_lo, hi))
+        groups, at = [], 0
+        for m, run in kids.items():
+            pos, lo, hi = (np.concatenate(part) for part in zip(*run))
+            groups.append((pos, lo, hi, level[at : (at := at + pos.size * a * m)].reshape(-1, m)))
     # C order keeps the row reductions of the volumes in numpy's pairwise order
-    lower = np.ascontiguousarray(np.array([lo for lo, _, _ in cells]).swapaxes(0, 1))
-    upper = np.ascontiguousarray(np.array([hi for _, hi, _ in cells]).swapaxes(0, 1))
-    return lower, upper, np.array([idx.shape[1] for _, _, idx in cells])
+    lower, upper = np.empty((2, a, 2 ** (len(order) * depth), d))
+    counts = np.empty(lower.shape[1], dtype=int)
+    for pos, lo, hi, idx in groups:
+        lower[:, pos], upper[:, pos] = lo.swapaxes(0, 1), hi.swapaxes(0, 1)
+        counts[pos] = idx.shape[1]
+    return lower, upper, counts
 
 
 def split_schedule(samples: SampleSet, depth: int, cycle_order=None) -> tuple[int, tuple]:

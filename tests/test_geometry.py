@@ -51,6 +51,14 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             s.data[0, 0] = 5.0
 
+    def test_callers_array_is_copied(self):
+        # entropart takes its own arrays without a copy; a caller's is copied
+        data = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        s = SampleSet(data)
+        data[0, 0], data[2, 1] = 100.0, -100.0
+        assert s.data.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert data.flags.writeable
+
 
 class TestBoundingBox:
     def test_orders_bounds(self):

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from entropart import (
     partition_from_dict,
     partition_to_dict,
 )
-from entropart.partition import _split_rows
+from entropart.partition import _split_rows, leaf_boxes
 
 
 def assert_split_rows_match_stable_sort(values, idx):
@@ -31,6 +33,64 @@ def assert_split_rows_match_stable_sort(values, idx):
         assert right[row].tolist() == np.sort(idx[row][order[k:]]).tolist()
         assert split[row].tobytes() == expected.tobytes()
         assert np.signbit(split[row]) == np.signbit(expected)
+
+
+def per_cell_leaf_boxes(points, depth, order):
+    """The kernel as one ``_split_rows`` call per cell, each for all A sets:
+    cells listed in tree order, each split into its left then its right child."""
+    a, n, d = points.shape
+    columns = np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(d, a * n)
+    by_set = columns.reshape(d, a, n)
+    cells = [(by_set.min(axis=2).T, by_set.max(axis=2).T, np.arange(a * n).reshape(a, n))]
+    for _ in range(depth):
+        for dim in order:
+            split_cells = []
+            for lo, hi, idx in cells:
+                left, right, split = _split_rows(columns[dim], idx)
+                left_hi, right_lo = hi.copy(), lo.copy()
+                left_hi[:, dim] = right_lo[:, dim] = split
+                split_cells += [(lo, left_hi, left), (right_lo, hi, right)]
+            cells = split_cells
+    lower = np.ascontiguousarray(np.array([lo for lo, _, _ in cells]).swapaxes(0, 1))
+    upper = np.ascontiguousarray(np.array([hi for _, hi, _ in cells]).swapaxes(0, 1))
+    return lower, upper, np.array([idx.shape[1] for _, _, idx in cells])
+
+
+class TestLeafBoxes:
+    @pytest.mark.parametrize("kind", ["continuous", "one-decimal", "signed-zero"])
+    @pytest.mark.parametrize("n", [65, 100, 512, 1000, 1023, 1024])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_cell_kernel_bit_for_bit(self, d, n, kind):
+        # 65, 100, 1000 and 1023 leave cells of two sizes on a level, so the
+        # size groups must merge and land in tree order; every depth that
+        # N >= 2^(s*d) allows, every cycle order
+        rng = np.random.default_rng(1000 * d + n)
+        for a in (1, 2, 4):
+            points = rng.normal(size=(a, n, d))
+            if kind == "one-decimal":
+                points = np.round(points, 1)
+            elif kind == "signed-zero":
+                points = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(a, n, d))
+            for order in permutations(range(d)):
+                for depth in range((n.bit_length() - 1) // d + 1):
+                    got = leaf_boxes(points, depth, order)
+                    want = per_cell_leaf_boxes(points, depth, order)
+                    for g, w in zip(got, want):
+                        assert (g.shape, g.dtype) == (w.shape, w.dtype)
+                        assert g.tobytes() == w.tobytes()
+                    assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+
+    def test_peak_memory_of_a_large_build(self):
+        # a (1, 200000, 2) build at depth 4 is the cli-ingest size; index
+        # matrices joined by copying would push its peak past this bound
+        points = np.random.default_rng(7).normal(size=(1, 200_000, 2))
+        tracemalloc.start()
+        try:
+            leaf_boxes(points, 4, (0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * points.nbytes
 
 
 class TestMedianSplit:
