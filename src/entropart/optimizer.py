@@ -156,11 +156,12 @@ def _optimise_2d(samples, variances, config):
 
 def _variances(centred, mrps, depth, order) -> list[float]:
     """``volume_variance`` at each of the (A, 3) MRPs, bit for bit, in batches."""
-    matrices = rotation_matrices(mrps, centred.shape[1]).transpose(0, 2, 1)
+    matrices = rotation_matrices(mrps, centred.shape[1])
     batch = max(1, BATCH_SAMPLES // len(centred))
     variances = []
     for start in range(0, len(matrices), batch):
-        lower, upper, _ = leaf_boxes(centred @ matrices[start : start + batch], depth, order)
+        # (A, d, N) as the kernel reads it; R @ X.T keeps the bits of rotate's X @ R.T
+        lower, upper, _ = leaf_boxes(matrices[start : start + batch] @ centred.T, depth, order)
         vols = np.prod(upper - lower, axis=2)
         total = vols.sum(axis=1, keepdims=True)
         if np.any(total <= 0.0):

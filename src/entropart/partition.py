@@ -64,25 +64,21 @@ def median_split(points, dim: int):
     require_int(0, dim=dim)
     if dim >= pts.shape[1]:
         raise PreconditionError(f"dimension index {dim} out of range for d={pts.shape[1]}")
-    left_idx, right_idx, split = _split_rows(pts[:, dim], np.arange(m).reshape(1, m))
-    left, right = pts[left_idx[0]], pts[right_idx[0]]
+    goes_right, split = _split_rows(pts[:, dim][None])
+    left, right = pts[~goes_right[0]], pts[goes_right[0]]
     if squeeze:
         left, right = left.ravel(), right.ravel()
     return left, right, float(split[0])
 
 
-def _split_rows(values_flat: np.ndarray, idx: np.ndarray, out=None):
-    """Median-split each ascending row of the (R, m) index matrix ``idx`` into ``values_flat``.
+def _split_rows(values: np.ndarray):
+    """Median-split the rows of (R, m) ``values``: the mask of entries going right, and the splits.
 
-    Returns left and right index matrices, rows ascending, and the (R,) split
-    coordinates.  Each row selects its k-th smallest value once; the minimum of
-    the values to its right is the next order statistic.  Where the two tie,
-    only a stable sort of the row knows which tied rows go left.  The index
-    matrices are views of ``out`` (new if None), a flat C-contiguous array of
-    ``idx.size`` that holds all left rows, then all right rows.
+    Each row selects its k-th smallest value once; the minimum of the values to its
+    right is the next order statistic, and the split is their midpoint.  Where the
+    two tie, only a stable sort of the row knows which tied entries go left.
     """
-    values = values_flat.take(idx)
-    a, m = values.shape
+    m = values.shape[1]
     k = (m + 1) // 2
     # a single kth takes numpy's SIMD quickselect; a tuple kth does not
     selected = np.partition(values, k - 1, axis=1)
@@ -92,49 +88,51 @@ def _split_rows(values_flat: np.ndarray, idx: np.ndarray, out=None):
         order = values[row].argsort(kind="stable")
         below[row], above[row] = values[row, order[k - 1]], values[row, order[k]]
         right[row, order[:k]], right[row, order[k:]] = False, True
-    del values, selected  # before the takes allocate: a large build peaks at the selection
-    out = np.empty(idx.size, idx.dtype) if out is None else out
-    # flat positions of each side come row by row, ascending; take beats 2-D fancy indexing
-    idx.take((~right).ravel().nonzero()[0], out=out[: a * k], mode="clip")
-    idx.take(right.ravel().nonzero()[0], out=out[a * k :], mode="clip")
-    return out[: a * k].reshape(a, k), out[a * k :].reshape(a, m - k), 0.5 * (below + above)
+    return right, 0.5 * (below + above)
 
 
 def leaf_boxes(points: np.ndarray, depth: int, order):
-    """Leaves of the equiprobable trees of A point sets of shape (A, N, d), such as A rotations.
+    """Leaves of the equiprobable trees of A point sets in column order, shape (A, d, N).
 
-    After j splits every cell holds ceil(N/2^j) or floor(N/2^j) points, so a
-    level is at most two groups of same-size cells, and one ``_split_rows`` call
-    splits a group for all A sets.  A group holds its cells' tree positions
-    (C,), boxes (C, A, d) and index rows (C*A, m), cell by cell.  A level's
-    children fill one index array group by group, left rows before right; those
-    of one size lie side by side, larger first, and form the next level's group.
-    Returns ``lower`` and ``upper`` (A, B, d) in tree order, left child before
-    right, each root box being its set's bounding box, and ``counts`` (B,).
+    Point i of set a is flat index a*d*N + i, so ``flat[dim*N:]`` reads coordinate
+    ``dim`` without a copy.  After j splits every cell holds ceil(N/2^j) or
+    floor(N/2^j) points, so a level is at most two groups of same-size cells, each
+    split for all A sets by one ``_split_rows`` call.  A group holds its cell size,
+    tree positions (C,), boxes (C, A, d) and index rows (C*A, m), cell by cell.  A
+    level's children fill one index array group by group, left rows before right;
+    those of one size lie side by side, larger first, and form the next level's
+    group.  Returns ``lower`` and ``upper`` (A, B, d) in tree order, left child
+    before right, each root box being its set's bounding box, and ``counts`` (B,).
     """
-    a, n, d = points.shape
-    columns = np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(d, a * n)
-    by_set = columns.reshape(d, a, n)  # reducing the contiguous axis is much the fastest
-    root = (by_set.min(axis=2).T[None], by_set.max(axis=2).T[None])
-    groups = [(np.zeros(1, dtype=np.intp), *root, np.arange(a * n).reshape(a, n))]
-    for dim in tuple(order) * depth:
-        level, at, kids = np.empty(a * n, dtype=np.intp), 0, {}
-        for pos, lo, hi, idx in groups:
-            left, right, split = _split_rows(columns[dim], idx, level[at : (at := at + idx.size)])
+    a, d, n = points.shape
+    flat = points.reshape(-1)
+    root = (points.min(axis=2)[None], points.max(axis=2)[None])  # over the contiguous axis: fastest
+    groups = [(n, np.zeros(1, dtype=np.intp), *root, np.arange(n) + d * n * np.arange(a)[:, None])]
+    schedule = tuple(order) * depth
+    for j, dim in enumerate(schedule, 1):
+        inner, column = j < len(schedule), flat[dim * n :]  # the leaves need no index rows
+        level, at, kids = np.empty(a * n, dtype=np.intp) if inner else None, 0, {}
+        for m, pos, lo, hi, idx in groups:
+            right, split = _split_rows(column.take(idx))  # frees the values before the takes
+            if inner:  # all left rows, then all right rows; take beats 2-D fancy indexing
+                out, half = level[at : (at := at + idx.size)], len(idx) * ((m + 1) // 2)
+                idx.take((~right).ravel().nonzero()[0], out=out[:half], mode="clip")
+                idx.take(right.ravel().nonzero()[0], out=out[half:], mode="clip")
+                del right  # before the next group's selection: a large build peaks there
             left_hi, right_lo = hi.copy(), lo.copy()
             left_hi[..., dim] = right_lo[..., dim] = split.reshape(len(pos), a)
-            kids.setdefault(left.shape[1], []).append((2 * pos, lo, left_hi))
-            kids.setdefault(right.shape[1], []).append((2 * pos + 1, right_lo, hi))
+            kids.setdefault((m + 1) // 2, []).append((2 * pos, lo, left_hi))
+            kids.setdefault(m // 2, []).append((2 * pos + 1, right_lo, hi))
         groups, at = [], 0
         for m, run in kids.items():
             pos, lo, hi = (np.concatenate(part) for part in zip(*run))
-            groups.append((pos, lo, hi, level[at : (at := at + pos.size * a * m)].reshape(-1, m)))
+            idx = level[at : (at := at + pos.size * a * m)].reshape(-1, m) if inner else None
+            groups.append((m, pos, lo, hi, idx))
     # C order keeps the row reductions of the volumes in numpy's pairwise order
     lower, upper = np.empty((2, a, 2 ** (len(order) * depth), d))
     counts = np.empty(lower.shape[1], dtype=int)
-    for pos, lo, hi, idx in groups:
-        lower[:, pos], upper[:, pos] = lo.swapaxes(0, 1), hi.swapaxes(0, 1)
-        counts[pos] = idx.shape[1]
+    for m, pos, lo, hi, _ in groups:
+        lower[:, pos], upper[:, pos], counts[pos] = lo.swapaxes(0, 1), hi.swapaxes(0, 1), m
     return lower, upper, counts
 
 
@@ -176,7 +174,7 @@ def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Part
             UserWarning,
             stacklevel=2,
         )
-    lower, upper, counts = leaf_boxes(samples.data[None], depth, order)
+    lower, upper, counts = leaf_boxes(np.ascontiguousarray(samples.data.T)[None], depth, order)
     return Partition(lower[0], upper[0], counts, depth, samples.d, order, samples.bounding_box)
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -329,6 +330,23 @@ class TestBatchedSearch:
         assert len(set(probes)) > 1  # the seeds finish in different rounds
         if sample is None:
             assert [converged for _, _, converged in lockstep].count(True) == 1
+
+    def test_peak_memory_of_a_3d_search_round(self):
+        # one align-3d round: 17 rotations of N=512 points at depth 1 in one
+        # kernel call; a second copy of the rotated points, such as a
+        # transposed one for the kernel, would push the peak past this bound
+        rng = np.random.default_rng(94)
+        centred = rng.normal(size=(512, 3))
+        centred -= centred.mean(axis=0)
+        mrps = rng.normal(scale=0.6, size=(17, 3))
+        _variances(centred, mrps, 1, (0, 1, 2))  # leave first-call set-up out of the peak
+        tracemalloc.start()
+        try:
+            _variances(centred, mrps, 1, (0, 1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(mrps) * centred.size * centred.itemsize
 
 
 def recording(run, probes):

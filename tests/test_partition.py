@@ -24,31 +24,33 @@ from entropart.partition import _split_rows, leaf_boxes
 def assert_split_rows_match_stable_sort(values, idx):
     """Each row of ``idx`` is split as a stable argsort of its values alone
     would split it, down to the sign of a zero split."""
-    left, right, split = _split_rows(values, idx)
+    right, split = _split_rows(values.take(idx))
     k = (idx.shape[1] + 1) // 2
     for row in range(idx.shape[0]):
         order = np.argsort(values[idx[row]], kind="stable")
         expected = 0.5 * (values[idx[row][order[k - 1]]] + values[idx[row][order[k]]])
-        assert left[row].tolist() == np.sort(idx[row][order[:k]]).tolist()
-        assert right[row].tolist() == np.sort(idx[row][order[k:]]).tolist()
+        assert idx[row][~right[row]].tolist() == np.sort(idx[row][order[:k]]).tolist()
+        assert idx[row][right[row]].tolist() == np.sort(idx[row][order[k:]]).tolist()
         assert split[row].tobytes() == expected.tobytes()
         assert np.signbit(split[row]) == np.signbit(expected)
 
 
 def per_cell_leaf_boxes(points, depth, order):
-    """The kernel as one ``_split_rows`` call per cell, each for all A sets:
-    cells listed in tree order, each split into its left then its right child."""
-    a, n, d = points.shape
-    columns = np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(d, a * n)
-    by_set = columns.reshape(d, a, n)
-    cells = [(by_set.min(axis=2).T, by_set.max(axis=2).T, np.arange(a * n).reshape(a, n))]
+    """The kernel as one ``_split_rows`` call per cell, each for all A sets of
+    shape (A, d, N): cells listed in tree order, each split into its left then
+    its right child, with every level's index matrices gathered by mask."""
+    a, d, n = points.shape
+    flat = points.ravel()
+    rows = np.arange(a)[:, None] * (d * n) + np.arange(n)
+    cells = [(points.min(axis=2), points.max(axis=2), rows)]
     for _ in range(depth):
         for dim in order:
             split_cells = []
             for lo, hi, idx in cells:
-                left, right, split = _split_rows(columns[dim], idx)
+                right, split = _split_rows(flat[dim * n :].take(idx))
                 left_hi, right_lo = hi.copy(), lo.copy()
                 left_hi[:, dim] = right_lo[:, dim] = split
+                left, right = idx[~right].reshape(a, -1), idx[right].reshape(a, -1)
                 split_cells += [(lo, left_hi, left), (right_lo, hi, right)]
             cells = split_cells
     lower = np.ascontiguousarray(np.array([lo for lo, _, _ in cells]).swapaxes(0, 1))
@@ -71,6 +73,7 @@ class TestLeafBoxes:
                 points = np.round(points, 1)
             elif kind == "signed-zero":
                 points = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(a, n, d))
+            points = np.ascontiguousarray(points.transpose(0, 2, 1))  # (A, d, N)
             for order in permutations(range(d)):
                 for depth in range((n.bit_length() - 1) // d + 1):
                     got = leaf_boxes(points, depth, order)
@@ -81,16 +84,17 @@ class TestLeafBoxes:
                     assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
 
     def test_peak_memory_of_a_large_build(self):
-        # a (1, 200000, 2) build at depth 4 is the cli-ingest size; index
-        # matrices joined by copying would push its peak past this bound
-        points = np.random.default_rng(7).normal(size=(1, 200_000, 2))
+        # a 200000 x 2 build at depth 4 is the cli-ingest size; the bound
+        # covers the column-order copy build_equiprobable hands the kernel,
+        # and index matrices joined by copying would push the peak past it
+        samples = SampleSet(np.random.default_rng(7).normal(size=(200_000, 2)))
         tracemalloc.start()
         try:
-            leaf_boxes(points, 4, (0, 1))
+            build_equiprobable(samples, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * points.nbytes
+        assert peak <= 3.5 * samples.data.nbytes
 
 
 class TestMedianSplit:
