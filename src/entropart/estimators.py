@@ -67,8 +67,8 @@ def entropy_histogram(counts, volumes, n_total: int) -> float:
     for name, values in (("counts", counts), ("volumes", volumes)):
         if not np.isfinite(values).all():
             raise PreconditionError(f"bin {name} must be finite")
-    if np.any(volumes < 0):
-        raise PreconditionError("bin volumes must be non-negative")
+        if np.any(values < 0):
+            raise PreconditionError(f"bin {name} must be non-negative")
     if counts.sum() != n_total:
         raise PreconditionError(f"bin counts sum to {counts.sum():g}, expected N={n_total}")
     mask = (counts > 0) & (volumes > 0)

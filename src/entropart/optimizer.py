@@ -37,7 +37,7 @@ from .geometry import (
     rotate,
     rotation_matrices,
 )
-from .partition import Partition, bin_volumes, build_equiprobable, leaf_boxes, split_schedule
+from .partition import Partition, box_volumes, build_equiprobable, leaf_boxes, split_schedule
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -88,7 +88,7 @@ def volume_variance(
 ) -> ObjectiveEvaluation:
     """Rotate, partition, and return the population variance of normalized volumes."""
     partition = build_equiprobable(rotate(samples, rot), depth, cycle_order)
-    variance = float(np.var(bin_volumes(partition, normalize=True)))
+    variance = float(np.var(box_volumes(partition.lower, partition.upper, normalize=True)))
     return ObjectiveEvaluation(rotation=rot, variance=variance, partition=partition)
 
 
@@ -108,7 +108,11 @@ def optimise_rotation(
     if samples.d not in (2, 3):
         raise PreconditionError(f"rotation optimization requires d in {{2, 3}}, got d={samples.d}")
     depth, order = split_schedule(samples, depth, cycle_order)
-    objective = partial(_variances, samples.data - samples.barycentre, depth=depth, order=order)
+    with np.errstate(over="ignore"):  # raised below, by name
+        centred = samples.data - samples.barycentre
+    if not np.isfinite(centred).all():  # leaf_boxes needs finite points
+        raise DegeneratePartitionError("centred samples overflow float64; rescale the samples")
+    objective = partial(_variances, centred, depth=depth, order=order)
     search = _optimise_2d if samples.d == 2 else _optimise_3d
     rot, variance, converged = search(samples, objective, config)
     partition = build_equiprobable(rotate(samples, rot), depth, order)
@@ -162,11 +166,7 @@ def _variances(centred, mrps, depth, order) -> list[float]:
     for start in range(0, len(matrices), batch):
         # (A, d, N) as the kernel reads it; R @ X.T keeps the bits of rotate's X @ R.T
         lower, upper, _ = leaf_boxes(matrices[start : start + batch] @ centred.T, depth, order)
-        vols = np.prod(upper - lower, axis=2)
-        total = vols.sum(axis=1, keepdims=True)
-        if np.any(total <= 0.0):
-            raise DegeneratePartitionError("rotated samples span a zero-volume support")
-        variances.extend(np.var(vols / total, axis=1).tolist())
+        variances.extend(np.var(box_volumes(lower, upper, normalize=True), axis=1).tolist())
     return variances
 
 

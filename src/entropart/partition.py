@@ -92,48 +92,38 @@ def _split_rows(values: np.ndarray):
 
 
 def leaf_boxes(points: np.ndarray, depth: int, order):
-    """Leaves of the equiprobable trees of A point sets in column order, shape (A, d, N).
+    """Leaves of the equiprobable trees of A finite point sets in column order, shape (A, d, N).
 
     Point i of set a is flat index a*d*N + i, so ``flat[dim*N:]`` reads coordinate
-    ``dim`` without a copy.  After j splits every cell holds ceil(N/2^j) or
-    floor(N/2^j) points, so a level is at most two groups of same-size cells, each
-    split for all A sets by one ``_split_rows`` call.  A group holds its cell size,
-    tree positions (C,), boxes (C, A, d) and index rows (C*A, m), cell by cell.  A
-    level's children fill one index array group by group, left rows before right;
-    those of one size lie side by side, larger first, and form the next level's
-    group.  Returns ``lower`` and ``upper`` (A, B, d) in tree order, left child
-    before right, each root box being its set's bounding box, and ``counts`` (B,).
+    ``dim`` without a copy.  After j splits every cell holds m = ceil(N/2^j) points or
+    m - 1, so one ``_split_rows`` call splits a level: its (C*A, m) index matrix has a
+    row per cell and set, cells in tree order.  A short cell's row ends in a pad valued
+    -inf for odd m and +inf for even m: the selection at ceil(m/2) splits it as its own
+    size would, and the pad, tying no finite value, ends up last in whichever child is
+    short next.  Returns ``lower`` and ``upper`` (A, B, d), C-ordered and in tree order
+    (left child before right, each root box its set's bounding box), and ``counts`` (B,).
     """
     a, d, n = points.shape
     flat = points.reshape(-1)
-    root = (points.min(axis=2)[None], points.max(axis=2)[None])  # over the contiguous axis: fastest
-    groups = [(n, np.zeros(1, dtype=np.intp), *root, np.arange(n) + d * n * np.arange(a)[:, None])]
+    lower, upper = points.min(axis=2)[:, None], points.max(axis=2)[:, None]  # fastest axis
+    idx, short, m = np.arange(n) + d * n * np.arange(a)[:, None], np.zeros(1, dtype=bool), n
     schedule = tuple(order) * depth
     for j, dim in enumerate(schedule, 1):
-        inner, column = j < len(schedule), flat[dim * n :]  # the leaves need no index rows
-        level, at, kids = np.empty(a * n, dtype=np.intp) if inner else None, 0, {}
-        for m, pos, lo, hi, idx in groups:
-            right, split = _split_rows(column.take(idx))  # frees the values before the takes
-            if inner:  # all left rows, then all right rows; take beats 2-D fancy indexing
-                out, half = level[at : (at := at + idx.size)], len(idx) * ((m + 1) // 2)
-                idx.take((~right).ravel().nonzero()[0], out=out[:half], mode="clip")
-                idx.take(right.ravel().nonzero()[0], out=out[half:], mode="clip")
-                del right  # before the next group's selection: a large build peaks there
-            left_hi, right_lo = hi.copy(), lo.copy()
-            left_hi[..., dim] = right_lo[..., dim] = split.reshape(len(pos), a)
-            kids.setdefault((m + 1) // 2, []).append((2 * pos, lo, left_hi))
-            kids.setdefault(m // 2, []).append((2 * pos + 1, right_lo, hi))
-        groups, at = [], 0
-        for m, run in kids.items():
-            pos, lo, hi = (np.concatenate(part) for part in zip(*run))
-            idx = level[at : (at := at + pos.size * a * m)].reshape(-1, m) if inner else None
-            groups.append((m, pos, lo, hi, idx))
-    # C order keeps the row reductions of the volumes in numpy's pairwise order
-    lower, upper = np.empty((2, a, 2 ** (len(order) * depth), d))
-    counts = np.empty(lower.shape[1], dtype=int)
-    for m, pos, lo, hi, _ in groups:
-        lower[:, pos], upper[:, pos], counts[pos] = lo.swapaxes(0, 1), hi.swapaxes(0, 1), m
-    return lower, upper, counts
+        c, k, odd = len(short), (m + 1) // 2, m % 2 == 1
+        values = flat[dim * n :].take(idx, mode="clip")  # clip: a fresh pad slot holds no index
+        values.reshape(c, a, m)[short, :, -1] = -np.inf if odd else np.inf
+        right, split = _split_rows(values)
+        del values  # before the takes: a large build peaks there
+        lower, upper = lower.repeat(2, axis=1), upper.repeat(2, axis=1)
+        upper[:, 0::2, dim] = lower[:, 1::2, dim] = split.reshape(c, a).T
+        if j < len(schedule):  # the leaves need no index rows
+            kids = np.empty((c, 2, a, k), dtype=np.intp)  # (cell, side, set, entry)
+            for goes, out in ((~right, kids[:, 0]), (right, kids[:, 1, :, : m - k])):
+                idx.take(goes.ravel().nonzero()[0].reshape(out.shape), out=out, mode="clip")
+            idx = kids.reshape(-1, k)
+        short, m = short.repeat(2), k  # odd: every right child is short; even: no left child is
+        short[odd::2] = odd
+    return lower, upper, m - short
 
 
 def split_schedule(samples: SampleSet, depth: int, cycle_order=None) -> tuple[int, tuple]:
@@ -180,11 +170,19 @@ def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Part
 
 def bin_volumes(partition: Partition, normalize: bool = False) -> np.ndarray:
     """Leaf volumes, raw or divided by the total so they sum to one."""
-    vols = np.prod(partition.upper - partition.lower, axis=1)
+    return box_volumes(partition.lower, partition.upper, normalize)
+
+
+def box_volumes(lower, upper, normalize: bool = False) -> np.ndarray:
+    """Volumes of boxes (..., B, d), raw or divided by their total over B; raises if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by name
+        vols = (upper - lower).prod(axis=-1)
+        total = vols.sum(axis=-1, keepdims=True) if normalize else vols
+    if not np.isfinite(total).all():
+        raise DegeneratePartitionError("bin volumes overflow float64; rescale the samples")
     if not normalize:
         return vols
-    total = vols.sum()
-    if total <= 0.0:
+    if (total <= 0.0).any():
         raise DegeneratePartitionError("cannot normalize volumes of a zero-volume partition")
     return vols / total
 

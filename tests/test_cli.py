@@ -40,6 +40,13 @@ def parabola_csv(tmp_path):
     return write_csv(tmp_path / "parabola.csv", np.column_stack([x, y]).tolist())
 
 
+@pytest.fixture
+def huge_csv(tmp_path):
+    # finite coordinates whose bin volumes, near 1e320, are past float64
+    rows = np.random.default_rng(3).normal(size=(64, 2)) * 1e160
+    return write_csv(tmp_path / "huge.csv", rows.tolist())
+
+
 def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -335,3 +342,20 @@ class TestDumpPartitionCommand:
         )
         assert dump["rotation_angle_rad"] == est["rotation_angle_rad"]
         assert dump["rotation_mrp"] == est["rotation_mrp"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--method", "equiprobable", "--depth", "2"],
+        ["dump-partition", "--depth", "2"],
+    ],
+)
+def test_overflowing_volumes_exit_3_with_one_line(capsys, huge_csv, argv):
+    # not an "Infinity" in the JSON; RuntimeWarnings are errors here, so
+    # the overflow is also silent
+    code = main(argv + ["--input", huge_csv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: precondition: bin volumes overflow")
+    assert captured.err.count("\n") == 1

@@ -70,6 +70,10 @@ class TestEntropyHistogram:
         with pytest.raises(PreconditionError):
             entropy_histogram([1, 2], [0.5, -0.5], 3)
 
+    def test_negative_count_rejected_by_name(self):
+        with pytest.raises(PreconditionError, match="bin counts must be non-negative"):
+            entropy_histogram([-1, 2], [1, 1], 1)
+
 
 class TestEntropyEquiprobable:
     def test_unit_square_corners(self):

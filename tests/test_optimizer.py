@@ -10,6 +10,7 @@ from conftest import BAD_COUNTS, circular_distance
 from scipy import optimize
 
 from entropart import (
+    DegeneratePartitionError,
     OptimizerConfig,
     PreconditionError,
     Rotation,
@@ -67,6 +68,22 @@ class TestVolumeVariance:
             pre_rotated = rotate(s, mrp_from_angle_2d(phi))
             composed = variance_at(pre_rotated, theta - phi, 1)
             assert composed == pytest.approx(direct, abs=1e-9)
+
+    @pytest.mark.parametrize("d, scale", [(2, 1e160), (3, 1e110)])
+    def test_overflowing_volumes_raise_by_name(self, d, scale):
+        # the leaf volumes exceed float64 while every coordinate is finite;
+        # RuntimeWarnings are errors here, so the overflow must also be silent
+        s = SampleSet(np.random.default_rng(72).normal(size=(64, d)) * scale)
+        with pytest.raises(DegeneratePartitionError, match="overflow"):
+            volume_variance(s, Rotation.identity(), 1)
+        with pytest.raises(DegeneratePartitionError, match="overflow"):
+            entropy_rotated(s, 1, OptimizerConfig(eigenvector_start=False, scan_points=8, starts=2))
+
+    def test_overflowing_centred_samples_raise_by_name(self):
+        # centring by the barycentre sends these finite samples past float64
+        s = SampleSet([[-1.7e308, 0.0], [1e308, 1.0], [1e308, 2.0], [1e308, 3.0]])
+        with pytest.raises(DegeneratePartitionError, match="centred samples overflow"):
+            optimise_rotation(s, 1, OptimizerConfig(eigenvector_start=False, scan_points=8))
 
 
 class TestOptimiseRotation:
@@ -151,6 +168,14 @@ class TestOptimiseRotation:
         assert [w.category for w in caught] == [UserWarning]
         assert "recommended maximum" in str(caught[0].message)
 
+    def test_converged_is_whether_the_winning_polish_met_its_tolerance(self):
+        # the winner here is a polished basin, not a scan angle (scan angles
+        # count as converged); one golden-section step cannot meet 1e-10
+        s = fig2_sample(42)
+        assert optimise_rotation(s, 1, FAST)[1].converged
+        config = OptimizerConfig(scan_points=256, max_iterations=1)
+        assert not optimise_rotation(s, 1, config)[1].converged
+
 
 class TestOptimise3d:
     def test_finds_no_worse_than_identity(self):
@@ -171,6 +196,14 @@ class TestOptimise3d:
         b = optimise_rotation(s, 1, config)
         assert np.array_equal(a[0].mrp, b[0].mrp)
         assert a[1].variance == b[1].variance
+
+    def test_converged_is_whether_the_winning_run_met_its_tolerances(self):
+        # at N=512, depth 1 the winning Nelder-Mead run is still moving after
+        # the default 96 iterations and settles well within 400
+        rng = np.random.default_rng(0)
+        s = SampleSet(rng.normal(size=(512, 3)) @ rng.normal(size=(3, 3)))
+        assert not optimise_rotation(s, 1)[1].converged
+        assert optimise_rotation(s, 1, OptimizerConfig(max_iterations=400))[1].converged
 
 
 class TestEntropyRotated:

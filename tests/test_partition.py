@@ -60,12 +60,14 @@ def per_cell_leaf_boxes(points, depth, order):
 
 class TestLeafBoxes:
     @pytest.mark.parametrize("kind", ["continuous", "one-decimal", "signed-zero"])
-    @pytest.mark.parametrize("n", [65, 100, 512, 1000, 1023, 1024])
+    @pytest.mark.parametrize("n", [65, 100, 341, 512, 1000, 1023, 1024])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_per_cell_kernel_bit_for_bit(self, d, n, kind):
-        # 65, 100, 1000 and 1023 leave cells of two sizes on a level, so the
-        # size groups must merge and land in tree order; every depth that
-        # N >= 2^(s*d) allows, every cycle order
+        # 65, 100, 341, 1000 and 1023 leave cells one point short of their
+        # level's row length, so pad entries must split them as their own
+        # size would; 341's sizes (341, 171, 86, 43, 22, 11, 6, 3) alternate
+        # odd and even, so the -inf and +inf pads take turns; every depth
+        # that N >= 2^(s*d) allows, every cycle order
         rng = np.random.default_rng(1000 * d + n)
         for a in (1, 2, 4):
             points = rng.normal(size=(a, n, d))
@@ -366,6 +368,22 @@ class TestBinVolumes:
         s = SampleSet([[0.0, 1.0], [0.0, 2.0]])
         p = build_equiprobable(s, 0)
         with pytest.raises(DegeneratePartitionError):
+            bin_volumes(p, normalize=True)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_overflowing_volume_rejected_by_name(self, normalize):
+        # 1e160-wide bins: each volume is past float64, silently (warnings are errors here)
+        s = SampleSet(np.random.default_rng(31).normal(size=(64, 2)) * 1e160)
+        p = build_equiprobable(s, 1)
+        with pytest.raises(DegeneratePartitionError, match="overflow"):
+            bin_volumes(p, normalize)
+
+    def test_overflowing_total_rejected_by_name(self):
+        # two finite volumes of 1.5e308 whose total is not
+        s = SampleSet(np.array([-1.5e308, -1.0, 1.0, 1.5e308])[:, None])
+        p = build_equiprobable(s, 1)
+        assert bin_volumes(p).tolist() == [1.5e308, 1.5e308]
+        with pytest.raises(DegeneratePartitionError, match="overflow"):
             bin_volumes(p, normalize=True)
 
 
