@@ -63,20 +63,22 @@ def read_samples_csv(path: str, has_header: bool = False) -> SampleSet:
     ``_parse_lines``, which defines the format and names the first bad line.
     """
     try:
+        data = None
         try:
             lines, blank_tail, odd = _scan_lines(path)
             expected = lines - has_header - blank_tail
             if expected > 0 and not odd:
                 with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # "input contained no data"
-                    data = np.loadtxt(
+                    loaded = np.loadtxt(
                         fh, delimiter=",", comments=None, ndmin=2, skiprows=int(has_header)
                     )
-                if data.shape[0] == expected and np.isfinite(data).all():
-                    return SampleSet._adopt(data)
+                if loaded.shape[0] == expected and np.isfinite(loaded).all():
+                    data = loaded
         except ValueError:  # includes UnicodeDecodeError
             pass
-        return _parse_lines(path, has_header)
+        # out of the try: samples that fail SampleSet's own checks are not parsed twice
+        return _parse_lines(path, has_header) if data is None else SampleSet._adopt(data)
     except OSError as exc:
         raise CsvParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
 

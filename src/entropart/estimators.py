@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegeneratePartitionError, PreconditionError, require_int
 from .geometry import Rotation, SampleSet
-from .partition import Partition, bin_volumes, build_equiprobable
+from .partition import Partition, bin_volumes, build_equiprobable, require_finite_volumes
 
 METHOD_NAIVE = "naive"
 METHOD_MARGINAL = "marginal_equiquantised"
@@ -112,12 +112,15 @@ def entropy_naive(samples: SampleSet, bins_per_dim: int) -> EntropyEstimate:
     require_int(1, bins_per_dim=bins_per_dim)
     k = int(bins_per_dim)
     bb = samples.bounding_box
-    if np.any(bb.widths == 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by name
+        widths = bb.widths
+        cell_volume = float(np.prod(widths / k))
+    if np.any(widths == 0.0):
         raise PreconditionError("zero-width support dimension; equal-width cells are degenerate")
+    require_finite_volumes(cell_volume)
     counts, _ = np.histogramdd(
         samples.data, bins=k, range=[(lo, hi) for lo, hi in zip(bb.lower, bb.upper)]
     )
-    cell_volume = float(np.prod(bb.widths / k))
     total = k**samples.d
     value = entropy_histogram(counts.ravel(), np.full(total, cell_volume), samples.n)
     return EntropyEstimate(value=value, method=METHOD_NAIVE, depth=k, bin_count=total)
@@ -141,17 +144,18 @@ def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> Ent
         raise PreconditionError("zero-width support dimension; quantile slabs are degenerate")
 
     edges_per_dim = []
-    for dim in range(d):
-        srt = np.sort(samples.data[:, dim])
-        ranks = -(-n * np.arange(1, k) // k)  # ceil(n*j/k), j = 1..k-1
-        cuts = 0.5 * (srt[ranks - 1] + srt[ranks])
-        edges = np.unique(np.concatenate(([bb.lower[dim]], cuts, [bb.upper[dim]])))
-        edges_per_dim.append(edges)
+    volumes = np.array([1.0])
+    with np.errstate(over="ignore"):  # an overflow is raised below, by name
+        for dim in range(d):
+            srt = np.sort(samples.data[:, dim])
+            ranks = -(-n * np.arange(1, k) // k)  # ceil(n*j/k), j = 1..k-1
+            cuts = 0.5 * (srt[ranks - 1] + srt[ranks])
+            edges = np.unique(np.concatenate(([bb.lower[dim]], cuts, [bb.upper[dim]])))
+            edges_per_dim.append(edges)
+            volumes = np.multiply.outer(volumes, np.diff(edges))
+    require_finite_volumes(volumes)
 
     counts, _ = np.histogramdd(samples.data, bins=edges_per_dim)
-    volumes = np.array([1.0])
-    for edges in edges_per_dim:
-        volumes = np.multiply.outer(volumes, np.diff(edges))
     volumes = volumes.reshape(counts.shape)
 
     value = entropy_histogram(counts.ravel(), volumes.ravel(), n)

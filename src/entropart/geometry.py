@@ -51,11 +51,6 @@ class BoundingBox:
     def volume(self) -> float:
         return float(np.prod(self.widths))
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Membership mask for points in the closed box; x has shape (n, d)."""
-        x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lower) & (x <= self.upper), axis=1)
-
 
 class SampleSet:
     """An immutable n-by-d matrix of observations with cached summary geometry.
@@ -84,9 +79,13 @@ class SampleSet:
             raise PreconditionError("sample data must contain at least one row and one column")
         if not np.isfinite(arr).all():
             raise PreconditionError("sample data must be finite in every entry")
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below, by name
+            barycentre = arr.mean(axis=0)
+        if not np.isfinite(barycentre).all():
+            raise PreconditionError("sample mean overflows float64; rescale the samples")
         arr.setflags(write=False)
         self._data = arr
-        self._barycentre = _readonly(arr.mean(axis=0))
+        self._barycentre = _readonly(barycentre)
         self._bbox = BoundingBox(arr.min(axis=0), arr.max(axis=0))
 
     @property
@@ -170,9 +169,13 @@ def rotation_matrices(mrps, d: int) -> np.ndarray:
             raise PreconditionError("2-D rotation requires a z-axis MRP (zero x/y components)")
         theta = 4.0 * np.arctan(mrps[:, 2])
         c, s = np.cos(theta), np.sin(theta)
-        return np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+        matrices = np.empty((len(theta), 2, 2))  # filled in place: np.stack costs twice as much
+        matrices[:, 0, 0], matrices[:, 0, 1], matrices[:, 1, 0], matrices[:, 1, 1] = c, -s, s, c
+        return matrices
     if d == 3:
-        skew = np.cross(np.eye(3), mrps[:, None, :])  # row i is e_i x mrp
+        x, y, z, zero = *mrps.T, np.zeros(len(mrps))
+        # row i is e_i x mrp; np.cross gives the same matrices, at twice the cost
+        skew = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
         s2 = mrps[:, None, :] @ mrps[:, :, None]
         # libm pow, as a Python float's ** takes it; an ndarray ** 2 multiplies instead
         denom = np.float_power(1.0 + s2, 2.0)

@@ -37,7 +37,14 @@ from .geometry import (
     rotate,
     rotation_matrices,
 )
-from .partition import Partition, box_volumes, build_equiprobable, leaf_boxes, split_schedule
+from .partition import (
+    Partition,
+    Workspace,
+    box_volumes,
+    build_equiprobable,
+    leaf_boxes,
+    split_schedule,
+)
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -112,7 +119,8 @@ def optimise_rotation(
         centred = samples.data - samples.barycentre
     if not np.isfinite(centred).all():  # leaf_boxes needs finite points
         raise DegeneratePartitionError("centred samples overflow float64; rescale the samples")
-    objective = partial(_variances, centred, depth=depth, order=order)
+    # one workspace for the whole search: its arrays outlive every batch
+    objective = partial(_variances, centred, depth=depth, order=order, workspace=Workspace())
     search = _optimise_2d if samples.d == 2 else _optimise_3d
     rot, variance, converged = search(samples, objective, config)
     partition = build_equiprobable(rotate(samples, rot), depth, order)
@@ -158,14 +166,16 @@ def _optimise_2d(samples, variances, config):
     return mrp_from_angle_2d(angle), variance, converged
 
 
-def _variances(centred, mrps, depth, order) -> list[float]:
+def _variances(centred, mrps, depth, order, workspace) -> list[float]:
     """``volume_variance`` at each of the (A, 3) MRPs, bit for bit, in batches."""
-    matrices = rotation_matrices(mrps, centred.shape[1])
+    matrices, columns = rotation_matrices(mrps, centred.shape[1]), centred.T
     batch = max(1, BATCH_SAMPLES // len(centred))
     variances = []
     for start in range(0, len(matrices), batch):
+        rot = matrices[start : start + batch]
         # (A, d, N) as the kernel reads it; R @ X.T keeps the bits of rotate's X @ R.T
-        lower, upper, _ = leaf_boxes(matrices[start : start + batch] @ centred.T, depth, order)
+        points = np.matmul(rot, columns, out=workspace.points(len(rot), *columns.shape))
+        lower, upper, _ = leaf_boxes(points, depth, order, workspace)
         variances.extend(np.var(box_volumes(lower, upper, normalize=True), axis=1).tolist())
     return variances
 
@@ -184,11 +194,18 @@ def _best_basin_seeds(values, angles, starts: int) -> list[float]:
     return [angles[i] for i in minima[:starts]]
 
 
+def _leading_eigenvector(samples) -> np.ndarray:
+    """The eigenvector of the sample covariance with the largest eigenvalue."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, by name
+        cov = np.cov(samples.data.T)
+    if not np.isfinite(cov).all():
+        raise PreconditionError("sample covariance overflows float64; rescale the samples")
+    return np.linalg.eigh(cov)[1][:, -1]
+
+
 def _eigenvector_angles_2d(samples) -> list[float]:
     """Rotations aligning the leading covariance eigenvector with each axis."""
-    cov = np.cov(samples.data.T)
-    _, vecs = np.linalg.eigh(cov)
-    leading = vecs[:, -1]
+    leading = _leading_eigenvector(samples)
     phi = float(np.arctan2(leading[1], leading[0]))
     return [normalize_angle(-phi), normalize_angle(np.pi / 2.0 - phi)]
 
@@ -315,9 +332,7 @@ def _fibonacci_axes(m: int) -> np.ndarray:
 
 def _eigenvector_mrp_3d(samples) -> np.ndarray | None:
     """MRP rotating the leading covariance eigenvector onto the x-axis."""
-    cov = np.cov(samples.data.T)
-    _, vecs = np.linalg.eigh(cov)
-    e = vecs[:, -1]
+    e = _leading_eigenvector(samples)
     target = np.array([1.0, 0.0, 0.0])
     cross = np.cross(e, target)
     norm = np.linalg.norm(cross)

@@ -64,26 +64,30 @@ def median_split(points, dim: int):
     require_int(0, dim=dim)
     if dim >= pts.shape[1]:
         raise PreconditionError(f"dimension index {dim} out of range for d={pts.shape[1]}")
-    goes_right, split = _split_rows(pts[:, dim][None])
+    goes_right, split = _split_rows(pts[:, dim][None], np.empty(m))
     left, right = pts[~goes_right[0]], pts[goes_right[0]]
     if squeeze:
         left, right = left.ravel(), right.ravel()
     return left, right, float(split[0])
 
 
-def _split_rows(values: np.ndarray):
+def _split_rows(values: np.ndarray, scratch: np.ndarray):
     """Median-split the rows of (R, m) ``values``: the mask of entries going right, and the splits.
 
     Each row selects its k-th smallest value once; the minimum of the values to its
     right is the next order statistic, and the split is their midpoint.  Where the
-    two tie, only a stable sort of the row knows which tied entries go left.
+    two tie, only a stable sort of the row knows which tied entries go left.  The
+    selection runs in ``scratch``, a flat float array of at least R*m entries that
+    shares no storage with ``values``; the mask is a view of its first R*m bytes.
     """
     m = values.shape[1]
     k = (m + 1) // 2
+    selected = np.ndarray(values.shape, float, scratch)  # a view, as is the mask below
+    np.copyto(selected, values)
     # a single kth takes numpy's SIMD quickselect; a tuple kth does not
-    selected = np.partition(values, k - 1, axis=1)
-    below, above = selected[:, k - 1].copy(), selected[:, k:].min(axis=1)
-    right = values > below[:, None]
+    selected.partition(k - 1, axis=1)
+    below, above = selected[:, k - 1].copy(), np.minimum.reduce(selected[:, k:], axis=1)
+    right = np.greater(values, below[:, None], out=np.ndarray(values.shape, bool, scratch))
     for row in (below == above).nonzero()[0]:  # the sort also orders -0.0 and 0.0
         order = values[row].argsort(kind="stable")
         below[row], above[row] = values[row, order[k - 1]], values[row, order[k]]
@@ -91,7 +95,33 @@ def _split_rows(values: np.ndarray):
     return right, 0.5 * (below + above)
 
 
-def leaf_boxes(points: np.ndarray, depth: int, order):
+class Workspace:
+    """Storage that :func:`leaf_boxes` reuses from one call to the next.
+
+    A search calls the kernel hundreds of times on batches of one size.  Arrays that
+    size, freed after every call, go back to the operating system and fault in again
+    on the next, so a search keeps one workspace: the batch's points and three level
+    buffers, each grown to the largest call so far and never shrunk.
+    """
+
+    def __init__(self):
+        self._points = np.empty(0)
+        self._levels = (np.empty(0),) * 3
+
+    def points(self, a: int, d: int, n: int) -> np.ndarray:
+        """A float array (A, d, N) to hold the points of the next call."""
+        if self._points.size < a * d * n:
+            self._points = np.empty(a * d * n)
+        return np.ndarray((a, d, n), float, self._points)
+
+    def levels(self, size: int) -> tuple:
+        """Three flat float arrays of at least ``size`` entries with no storage in common."""
+        if self._levels[0].size < size:
+            self._levels = tuple(np.empty(size) for _ in range(3))
+        return self._levels
+
+
+def leaf_boxes(points: np.ndarray, depth: int, order, workspace: Workspace | None = None):
     """Leaves of the equiprobable trees of A finite point sets in column order, shape (A, d, N).
 
     Point i of set a is flat index a*d*N + i, so ``flat[dim*N:]`` reads coordinate
@@ -100,27 +130,34 @@ def leaf_boxes(points: np.ndarray, depth: int, order):
     row per cell and set, cells in tree order.  A short cell's row ends in a pad valued
     -inf for odd m and +inf for even m: the selection at ceil(m/2) splits it as its own
     size would, and the pad, tying no finite value, ends up last in whichever child is
-    short next.  Returns ``lower`` and ``upper`` (A, B, d), C-ordered and in tree order
-    (left child before right, each root box its set's bounding box), and ``counts`` (B,).
+    short next.  The level arrays live in ``workspace`` (a new one if None).  Returns
+    ``lower`` and ``upper`` (A, B, d), C-ordered and in tree order (left child before
+    right, each root box its set's bounding box), and ``counts`` (B,).
     """
     a, d, n = points.shape
     flat = points.reshape(-1)
     lower, upper = points.min(axis=2)[:, None], points.max(axis=2)[:, None]  # fastest axis
-    idx, short, m = np.arange(n) + d * n * np.arange(a)[:, None], np.zeros(1, dtype=bool), n
     schedule = tuple(order) * depth
+    cells = 1 << max(len(schedule) - 1, 0)  # the last level's matrix is the largest
+    # a level's values overwrite the index rows of the level before, and its index rows
+    # the values; the selection, then the mask, take the third buffer
+    idx_buf, val_buf, scratch = (workspace or Workspace()).levels(a * cells * -(-n // cells))
+    idx, short, m = np.ndarray((a, n), np.intp, idx_buf), np.zeros(1, dtype=bool), n
+    np.add.outer(np.arange(0, a * d * n, d * n), np.arange(n), out=idx)
     for j, dim in enumerate(schedule, 1):
         c, k, odd = len(short), (m + 1) // 2, m % 2 == 1
-        values = flat[dim * n :].take(idx, mode="clip")  # clip: a fresh pad slot holds no index
-        values.reshape(c, a, m)[short, :, -1] = -np.inf if odd else np.inf
-        right, split = _split_rows(values)
-        del values  # before the takes: a large build peaks there
+        values = np.ndarray(idx.shape, float, val_buf)
+        flat[dim * n :].take(idx, out=values, mode="clip")  # clip: a fresh pad slot holds no index
+        pad = -np.inf if odd else np.inf
+        np.copyto(values.reshape(c, a, m)[:, :, -1], pad, where=short[:, None])
+        right, split = _split_rows(values, scratch)
         lower, upper = lower.repeat(2, axis=1), upper.repeat(2, axis=1)
         upper[:, 0::2, dim] = lower[:, 1::2, dim] = split.reshape(c, a).T
         if j < len(schedule):  # the leaves need no index rows
-            kids = np.empty((c, 2, a, k), dtype=np.intp)  # (cell, side, set, entry)
+            kids = np.ndarray((c, 2, a, k), np.intp, val_buf)  # (cell, side, set, entry)
             for goes, out in ((~right, kids[:, 0]), (right, kids[:, 1, :, : m - k])):
                 idx.take(goes.ravel().nonzero()[0].reshape(out.shape), out=out, mode="clip")
-            idx = kids.reshape(-1, k)
+            idx, idx_buf, val_buf = kids.reshape(-1, k), val_buf, idx_buf
         short, m = short.repeat(2), k  # odd: every right child is short; even: no left child is
         short[odd::2] = odd
     return lower, upper, m - short
@@ -178,13 +215,18 @@ def box_volumes(lower, upper, normalize: bool = False) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by name
         vols = (upper - lower).prod(axis=-1)
         total = vols.sum(axis=-1, keepdims=True) if normalize else vols
-    if not np.isfinite(total).all():
-        raise DegeneratePartitionError("bin volumes overflow float64; rescale the samples")
+    require_finite_volumes(total)
     if not normalize:
         return vols
     if (total <= 0.0).any():
         raise DegeneratePartitionError("cannot normalize volumes of a zero-volume partition")
     return vols / total
+
+
+def require_finite_volumes(volumes) -> None:
+    """Raise by name where bin volumes, or their total, overflowed float64."""
+    if not np.isfinite(volumes).all():
+        raise DegeneratePartitionError("bin volumes overflow float64; rescale the samples")
 
 
 def partition_to_dict(partition: Partition) -> dict:

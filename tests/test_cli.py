@@ -345,17 +345,32 @@ class TestDumpPartitionCommand:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["estimate", "--method", "equiprobable", "--depth", "2"],
-        ["dump-partition", "--depth", "2"],
+        (["estimate", "--method", "equiprobable", "--depth", "2"], "bin volumes overflow"),
+        (["dump-partition", "--depth", "2"], "bin volumes overflow"),
+        (["estimate", "--method", "naive", "--bins-per-dim", "4"], "bin volumes overflow"),
+        (["estimate", "--method", "marginal", "--bins-per-dim", "4"], "bin volumes overflow"),
+        # the eigenvector start fails first, on the covariance, not on an MRP
+        (["estimate", "--method", "rotated", "--depth", "2"], "sample covariance overflows"),
     ],
 )
-def test_overflowing_volumes_exit_3_with_one_line(capsys, huge_csv, argv):
+def test_overflowing_volumes_exit_3_with_one_line(capsys, huge_csv, argv, message):
     # not an "Infinity" in the JSON; RuntimeWarnings are errors here, so
     # the overflow is also silent
     code = main(argv + ["--input", huge_csv])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err.startswith("error: precondition: bin volumes overflow")
+    assert captured.err.startswith(f"error: precondition: {message}")
     assert captured.err.count("\n") == 1
+
+
+def test_overflowing_mean_exits_3_without_a_second_parse(capsys, tmp_path, monkeypatch):
+    # numpy's parser reads this file; the sample set it makes then fails, and
+    # that failure is reported as it is, not by parsing the file again
+    path = write_csv(tmp_path / "extreme.csv", [[-1.5e308], [-1e308], [1e308], [1.5e308]])
+    monkeypatch.setattr("entropart.cli._parse_lines", None)  # a call would raise TypeError
+    code = main(["estimate", "--method", "equiprobable", "--depth", "1", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: precondition: sample mean overflows float64; rescale the samples\n"

@@ -34,7 +34,8 @@ class TestSampleSet:
     def test_bounding_box_contains_all_samples(self):
         rng = np.random.default_rng(1)
         s = SampleSet(rng.normal(size=(50, 2)))
-        assert s.bounding_box.contains(s.data).all()
+        box = s.bounding_box
+        assert ((s.data >= box.lower) & (s.data <= box.upper)).all()
 
     def test_one_dimensional_input_reshaped(self):
         s = SampleSet([1.0, 2.0, 3.0])
@@ -45,6 +46,12 @@ class TestSampleSet:
             SampleSet([[0.0, 1.0], [np.nan, 2.0]])
         with pytest.raises(PreconditionError):
             SampleSet([[0.0, np.inf]])
+
+    def test_rejects_an_overflowing_mean(self):
+        # finite samples whose sum passes float64's limit; RuntimeWarnings are
+        # errors here, so the overflow is also silent
+        with pytest.raises(PreconditionError, match="sample mean overflows"):
+            SampleSet([[-1.5e308], [-1e308], [1e308], [1.5e308]])
 
     def test_data_is_immutable(self):
         s = SampleSet([[0.0, 1.0], [2.0, 3.0]])

@@ -24,6 +24,7 @@ from entropart import (
     volume_variance,
 )
 from entropart.optimizer import BATCH_SAMPLES, _golden_section, _lockstep, _nelder_mead, _variances
+from entropart.partition import Workspace
 
 FAST = OptimizerConfig(scan_points=256)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -283,7 +284,7 @@ def correlated_sample(n, decimals=None, seed=90):
 def planar_variances(sample, thetas, depth):
     """The 2-D search objective: volume variance at each angle, in batches."""
     mrps = [mrp_from_angle_2d(normalize_angle(theta)).mrp for theta in thetas]
-    return _variances(sample.data - sample.barycentre, mrps, depth, (0, 1))
+    return _variances(sample.data - sample.barycentre, mrps, depth, (0, 1), Workspace())
 
 
 class TestBatchedSearch:
@@ -303,7 +304,8 @@ class TestBatchedSearch:
             data = rng.normal(size=(1024, 3)) @ rng.normal(size=(3, 3))
             s = SampleSet(data if decimals is None else np.round(data, decimals))
             rotations = [Rotation(m) for m in rng.normal(scale=0.6, size=(200, 3))]
-            batched = _variances(s.data - s.barycentre, [r.mrp for r in rotations], 2, (0, 1, 2))
+            mrps = [r.mrp for r in rotations]
+            batched = _variances(s.data - s.barycentre, mrps, 2, (0, 1, 2), Workspace())
         assert len(rotations) > BATCH_SAMPLES // s.n
         for rot, value in zip(rotations, batched):
             assert value == volume_variance(s, rot, 2).variance
@@ -366,20 +368,40 @@ class TestBatchedSearch:
 
     def test_peak_memory_of_a_3d_search_round(self):
         # one align-3d round: 17 rotations of N=512 points at depth 1 in one
-        # kernel call; a second copy of the rotated points, such as a
-        # transposed one for the kernel, would push the peak past this bound
+        # kernel call, counting the workspace the round fills; a second copy of
+        # the rotated points, such as a transposed one for the kernel, would
+        # push the peak past this bound
         rng = np.random.default_rng(94)
         centred = rng.normal(size=(512, 3))
         centred -= centred.mean(axis=0)
         mrps = rng.normal(scale=0.6, size=(17, 3))
-        _variances(centred, mrps, 1, (0, 1, 2))  # leave first-call set-up out of the peak
+        _variances(centred, mrps, 1, (0, 1, 2), Workspace())  # leave first-call set-up out
         tracemalloc.start()
         try:
-            _variances(centred, mrps, 1, (0, 1, 2))
+            _variances(centred, mrps, 1, (0, 1, 2), Workspace())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3 * len(mrps) * centred.size * centred.itemsize
+
+    def test_a_warm_round_allocates_less_than_its_points(self):
+        # an align-2d batch: 2 rotations of N=8192 points at depth 3; once the
+        # search's workspace holds the points and the level arrays, a round
+        # allocates only small temporaries, where fresh level arrays would
+        # come to more than twice the rotated points
+        rng = np.random.default_rng(95)
+        centred = rng.normal(size=(8192, 2))
+        centred -= centred.mean(axis=0)
+        mrps = [mrp_from_angle_2d(theta).mrp for theta in (0.4, 2.9)]
+        workspace = Workspace()
+        _variances(centred, mrps, 3, (0, 1), workspace)
+        tracemalloc.start()
+        try:
+            _variances(centred, mrps, 3, (0, 1), workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(mrps) * centred.size * centred.itemsize
 
 
 def recording(run, probes):

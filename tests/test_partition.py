@@ -24,7 +24,7 @@ from entropart.partition import _split_rows, leaf_boxes
 def assert_split_rows_match_stable_sort(values, idx):
     """Each row of ``idx`` is split as a stable argsort of its values alone
     would split it, down to the sign of a zero split."""
-    right, split = _split_rows(values.take(idx))
+    right, split = _split_rows(values.take(idx), np.empty(idx.size))
     k = (idx.shape[1] + 1) // 2
     for row in range(idx.shape[0]):
         order = np.argsort(values[idx[row]], kind="stable")
@@ -47,7 +47,7 @@ def per_cell_leaf_boxes(points, depth, order):
         for dim in order:
             split_cells = []
             for lo, hi, idx in cells:
-                right, split = _split_rows(flat[dim * n :].take(idx))
+                right, split = _split_rows(flat[dim * n :].take(idx), np.empty(idx.size))
                 left_hi, right_lo = hi.copy(), lo.copy()
                 left_hi[:, dim] = right_lo[:, dim] = split
                 left, right = idx[~right].reshape(a, -1), idx[right].reshape(a, -1)
