@@ -26,12 +26,13 @@ from .estimators import (
     METHOD_MARGINAL,
     METHOD_NAIVE,
     METHOD_ROTATED,
+    entropy_equiprobable,
     entropy_equiprobable_estimate,
     entropy_marginal_equiquantised,
     entropy_naive,
 )
 from .geometry import SampleSet
-from .optimizer import OptimizerConfig, entropy_rotated
+from .optimizer import BATCH_SAMPLES, OptimizerConfig, optimise_rotation, optimise_rotations
 
 DET_FLOOR = 1e-2
 MAX_COVARIANCE_REDRAWS = 1000
@@ -180,7 +181,9 @@ def run_study(
 
     Per trial: draw a covariance and N samples, compute the theoretical
     entropy and all four estimates, and record absolute percentage errors.
-    Trials where an estimator fails are counted and excluded.
+    Trials where an estimator fails are counted and excluded.  The rotated
+    searches of up to ``BATCH_SAMPLES // n // (starts + 2)`` trials run in
+    lock-step, one kernel call per round, bit for bit as one trial at a time.
     """
     require_int(1, n=n, trials=trials, bootstrap_resamples=bootstrap_resamples)
     require_int(0, seed=seed)
@@ -188,34 +191,34 @@ def run_study(
     if n < bins:
         raise PreconditionError(f"N={n} < B={bins}; every bin needs at least one sample")
 
-    results = []
-    failures = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        cov = random_covariance(rng)
-        samples = sample_gaussian(cov, n, rng)
-        theoretical = theoretical_entropy(cov)
+    config = config or OptimizerConfig()
+    group = max(1, BATCH_SAMPLES // n // (config.starts + 2))
+    results, failures = [], 0
+    for first in range(0, trials, group):
+        drawn = []  # (covariance, samples) of each trial in the group
+        for trial in range(first, min(first + group, trials)):
+            rng = np.random.default_rng([seed, trial])
+            cov = random_covariance(rng)
+            drawn.append((cov, sample_gaussian(cov, n, rng)))
         try:
-            estimates = {
-                METHOD_NAIVE: entropy_naive(samples, grid).value,
-                METHOD_MARGINAL: entropy_marginal_equiquantised(samples, grid).value,
-                METHOD_EQUIPROBABLE: entropy_equiprobable_estimate(samples, depth).value,
-                METHOD_ROTATED: entropy_rotated(samples, depth, config).value,
-            }
-        except PreconditionError:
-            failures += 1
-            continue
-        errors = {
-            m: abs(estimates[m] - theoretical) / abs(theoretical) for m in STUDY_METHODS
-        }
-        results.append(
-            TrialResult(
-                covariance=cov,
-                theoretical=theoretical,
-                estimates=estimates,
-                abs_pct_error=errors,
-            )
-        )
+            found = [e for _, e in optimise_rotations([s for _, s in drawn], depth, config)]
+        except PreconditionError:  # one search at a time finds whose error it was
+            found = [None] * len(drawn)
+        for (cov, samples), evaluation in zip(drawn, found):
+            try:
+                evaluation = evaluation or optimise_rotation(samples, depth, config)[1]
+                estimates = {
+                    METHOD_NAIVE: entropy_naive(samples, grid).value,
+                    METHOD_MARGINAL: entropy_marginal_equiquantised(samples, grid).value,
+                    METHOD_EQUIPROBABLE: entropy_equiprobable_estimate(samples, depth).value,
+                    METHOD_ROTATED: entropy_equiprobable(evaluation.partition),
+                }
+            except PreconditionError:
+                failures += 1
+                continue
+            theoretical = theoretical_entropy(cov)
+            errors = {m: abs(estimates[m] - theoretical) / abs(theoretical) for m in STUDY_METHODS}
+            results.append(TrialResult(cov, theoretical, estimates, errors))
 
     mse = {
         m: float(np.mean([t.abs_pct_error[m] ** 2 for t in results])) if results else math.nan

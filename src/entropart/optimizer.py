@@ -15,14 +15,15 @@ derivative-free and deliberately dense in 2-D: a deterministic uniform angle
 scan locates the candidate basins and golden-section polishes the best of
 them.  3-D alignment runs multi-start Nelder-Mead over the MRP vector.  Both
 searches advance all their local runs in lock-step, so every round of probes
-is one batched call of the partition kernel.  Everything is deterministic;
-there is no randomness in the optimizer.
+is one batched call of the partition kernel, and so can the searches of sample
+sets of one size.  Everything is deterministic; there is no randomness in the
+optimizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -111,20 +112,38 @@ def optimise_rotation(
     result never exceeds the objective at any start point; exact ties are
     broken toward the smallest rotation angle so results are reproducible.
     """
-    config = config or OptimizerConfig()
-    if samples.d not in (2, 3):
-        raise PreconditionError(f"rotation optimization requires d in {{2, 3}}, got d={samples.d}")
-    depth, order = split_schedule(samples, depth, cycle_order)
-    with np.errstate(over="ignore"):  # raised below, by name
-        centred = samples.data - samples.barycentre
-    if not np.isfinite(centred).all():  # leaf_boxes needs finite points
-        raise DegeneratePartitionError("centred samples overflow float64; rescale the samples")
-    # one workspace for the whole search: its arrays outlive every batch
-    objective = partial(_variances, centred, depth=depth, order=order, workspace=Workspace())
-    search = _optimise_2d if samples.d == 2 else _optimise_3d
-    rot, variance, converged = search(samples, objective, config)
-    partition = build_equiprobable(rotate(samples, rot), depth, order)
-    return rot, ObjectiveEvaluation(rot, variance, partition, converged)
+    return optimise_rotations([samples], depth, config, cycle_order)[0]
+
+
+def optimise_rotations(sample_sets, depth: int, config=None, cycle_order=None) -> list:
+    """:func:`optimise_rotation` of each of sample sets sharing N and d, bit for bit.
+
+    Every set's preconditions are checked before any search starts.  A search yields
+    requests ``(centred samples, MRPs)`` and is sent their variances; the searches run in
+    lock-step, a round one :func:`_variances` call on one workspace, which outlives every batch.
+    """
+    config, searches, order = config or OptimizerConfig(), [], None
+    for samples in sample_sets:
+        if samples.d not in (2, 3):
+            raise PreconditionError(
+                f"rotation optimization requires d in {{2, 3}}, got d={samples.d}"
+            )
+        if samples.data.shape != sample_sets[0].data.shape:
+            raise PreconditionError("sample sets searched together must share N and d")
+        depth, order = split_schedule(samples, depth, cycle_order)
+        with np.errstate(over="ignore"):  # raised below, by name
+            centred = samples.data - samples.barycentre
+        if not np.isfinite(centred).all():  # leaf_boxes needs finite points
+            raise DegeneratePartitionError("centred samples overflow float64; rescale the samples")
+        seeds = _eigenvector_angles_2d if samples.d == 2 else _eigenvector_mrps_3d
+        extra = seeds(samples) if config.eigenvector_start and samples.n >= 2 else []
+        searches.append((_optimise_2d if samples.d == 2 else _optimise_3d)(centred, config, extra))
+    workspace, found = Workspace(), []
+    results = _drive(_lockstep(searches), lambda r: _variances(r, depth, order, workspace))
+    for samples, (rot, variance, converged) in zip(sample_sets, results):
+        partition = build_equiprobable(rotate(samples, rot), depth, order)
+        found.append((rot, ObjectiveEvaluation(rot, variance, partition, converged)))
+    return found
 
 
 def entropy_rotated(
@@ -141,43 +160,52 @@ def entropy_rotated(
     )
 
 
-def _optimise_2d(samples, variances, config):
-    def objective(thetas) -> list[float]:
+def _optimise_2d(centred, config, extra):
+    def request(thetas):
         mrps = np.zeros((len(thetas), 3))
         mrps[:, 2] = np.tan(np.array([normalize_angle(theta) for theta in thetas]) / 4.0)
-        return variances(mrps)
+        return centred, mrps
 
     scan_angles = [TWO_PI * i / config.scan_points for i in range(config.scan_points)]
-    extra = _eigenvector_angles_2d(samples) if config.eigenvector_start and samples.n >= 2 else []
     angles = scan_angles + extra
-    values = objective(angles)
+    values = yield request(angles)
 
-    # (variance, canonical angle, converged); smallest-angle wins exact ties
-    candidates = [(value, normalize_angle(angle), True) for value, angle in zip(values, angles)]
+    # (variance, canonical angle, converged); smallest-angle wins exact ties; of the scan only
+    # its best is kept, as every search of a group holds its candidates through the polish
+    candidates = [min((value, normalize_angle(angle), True) for value, angle in zip(values, angles))]
     seeds = _best_basin_seeds(values[: len(scan_angles)], scan_angles, config.starts) + extra
 
     step = TWO_PI / config.scan_points  # each polish brackets one scan step either side
     runs = [
         _golden_section(s - step, s + step, config.max_iterations, config.tolerance) for s in seeds
     ]
-    candidates += [(value, normalize_angle(x), ok) for x, value, ok in _lockstep(objective, runs)]
+    polished = yield from _lockstep(runs, request)
+    candidates += [(value, normalize_angle(x), ok) for x, value, ok in polished]
 
     variance, angle, converged = min(candidates, key=lambda c: (c[0], c[1]))
     return mrp_from_angle_2d(angle), variance, converged
 
 
-def _variances(centred, mrps, depth, order, workspace) -> list[float]:
-    """``volume_variance`` at each of the (A, 3) MRPs, bit for bit, in batches."""
-    matrices, columns = rotation_matrices(mrps, centred.shape[1]), centred.T
-    batch = max(1, BATCH_SAMPLES // len(centred))
+def _variances(requests, depth, order, workspace) -> list[list]:
+    """Per ``(centred samples, MRPs)`` request sharing N and d, ``volume_variance`` at each MRP."""
+    n, d = requests[0][0].shape
+    matrices = rotation_matrices(np.concatenate([mrps for _, mrps in requests]), d)
+    bounds = [0, *accumulate(len(mrps) for _, mrps in requests)]
+    batch = max(1, BATCH_SAMPLES // n)
     variances = []
     for start in range(0, len(matrices), batch):
-        rot = matrices[start : start + batch]
+        stop = min(start + batch, len(matrices))
+        points = workspace.points(stop - start, d, n)
         # (A, d, N) as the kernel reads it; R @ X.T keeps the bits of rotate's X @ R.T
-        points = np.matmul(rot, columns, out=workspace.points(len(rot), *columns.shape))
+        for (centred, _), first, end in zip(requests, bounds, bounds[1:]):
+            i, j = max(start, first), min(stop, end)  # the request's part of the batch
+            if i < j:
+                np.matmul(matrices[i:j], centred.T, out=points[i - start : j - start])
         lower, upper, _ = leaf_boxes(points, depth, order, workspace)
-        variances.extend(np.var(box_volumes(lower, upper, normalize=True), axis=1).tolist())
-    return variances
+        volumes = box_volumes(lower, upper, normalize=True)  # then np.var's ufuncs, unwrapped
+        dev = volumes - np.add.reduce(volumes, axis=1, keepdims=True) / volumes.shape[1]
+        variances.extend((np.add.reduce(dev * dev, axis=1) / volumes.shape[1]).tolist())
+    return [variances[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 def _best_basin_seeds(values, angles, starts: int) -> list[float]:
@@ -284,13 +312,24 @@ def _nelder_mead(x0, max_iterations, xatol, fatol):
                     fsim[j] = yield sim[j].copy()
 
 
-def _lockstep(objective, runs) -> list[tuple]:
-    """Run search generators in rounds of one ``objective`` call; return their results."""
+def _drive(rounds, answer):
+    """Send each request ``rounds`` yields its ``answer``; return what ``rounds`` returns."""
+    try:
+        requests = next(rounds)
+        while True:
+            requests = rounds.send(answer(requests))
+    except StopIteration as done:
+        return done.value
+
+
+def _lockstep(runs, request=list):
+    """Search generators run in lock-step, as one: a round yields ``request`` of their probes."""
     results = [None] * len(runs)
     pending = {i: run.send(None) for i, run in enumerate(runs)}
     while pending:
         live = list(pending)
-        for i, value in zip(live, objective([pending[i] for i in live])):
+        values = yield request([pending[i] for i in live])
+        for i, value in zip(live, values):
             try:
                 pending[i] = runs[i].send(value)
             except StopIteration as done:
@@ -299,21 +338,19 @@ def _lockstep(objective, runs) -> list[tuple]:
     return results
 
 
-def _optimise_3d(samples, objective, config):
+def _optimise_3d(centred, config, extra):
     starts = [np.zeros(3)]
     n_axes = max(1, (config.starts - 1) // 3)
     for axis in _fibonacci_axes(n_axes):
         for angle in (np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0):
             starts.append(np.tan(angle / 4.0) * axis)
-    if config.eigenvector_start and samples.n >= 2:
-        eig = _eigenvector_mrp_3d(samples)
-        if eig is not None:
-            starts.append(eig)
+    starts += extra
 
-    seed_values = objective(starts)
+    seed_values = yield centred, np.array(starts)
     runs = [_nelder_mead(x0, config.max_iterations, 1e-8, config.tolerance) for x0 in starts]
+    polished = yield from _lockstep(runs, lambda mrps: (centred, np.array(mrps)))
     candidates = []  # (variance, rotation angle, MRP, converged): each seed, then its run
-    for x0, seed_var, (mrp, value, ok) in zip(starts, seed_values, _lockstep(objective, runs)):
+    for x0, seed_var, (mrp, value, ok) in zip(starts, seed_values, polished):
         candidates.append((seed_var, Rotation(x0).angle, x0, True))
         candidates.append((value, Rotation(mrp).angle, mrp, ok))
 
@@ -330,13 +367,13 @@ def _fibonacci_axes(m: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _eigenvector_mrp_3d(samples) -> np.ndarray | None:
-    """MRP rotating the leading covariance eigenvector onto the x-axis."""
+def _eigenvector_mrps_3d(samples) -> list:
+    """The MRP rotating the leading covariance eigenvector onto the x-axis, if one does."""
     e = _leading_eigenvector(samples)
     target = np.array([1.0, 0.0, 0.0])
     cross = np.cross(e, target)
     norm = np.linalg.norm(cross)
     if norm < 1e-12:
-        return None
+        return []
     angle = float(np.arccos(np.clip(e @ target, -1.0, 1.0)))
-    return np.tan(angle / 4.0) * (cross / norm)
+    return [np.tan(angle / 4.0) * (cross / norm)]

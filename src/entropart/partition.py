@@ -143,7 +143,8 @@ def leaf_boxes(points: np.ndarray, depth: int, order, workspace: Workspace | Non
     # the values; the selection, then the mask, take the third buffer
     idx_buf, val_buf, scratch = (workspace or Workspace()).levels(a * cells * -(-n // cells))
     idx, short, m = np.ndarray((a, n), np.intp, idx_buf), np.zeros(1, dtype=bool), n
-    np.add.outer(np.arange(0, a * d * n, d * n), np.arange(n), out=idx)
+    # a narrow ramp: an intp one, beside the level buffers, would set a large build's peak
+    np.add.outer(d * n * np.arange(a), np.arange(n, dtype=np.min_scalar_type(-n)), out=idx)
     for j, dim in enumerate(schedule, 1):
         c, k, odd = len(short), (m + 1) // 2, m % 2 == 1
         values = np.ndarray(idx.shape, float, val_buf)
@@ -156,7 +157,12 @@ def leaf_boxes(points: np.ndarray, depth: int, order, workspace: Workspace | Non
         if j < len(schedule):  # the leaves need no index rows
             kids = np.ndarray((c, 2, a, k), np.intp, val_buf)  # (cell, side, set, entry)
             for goes, out in ((~right, kids[:, 0]), (right, kids[:, 1, :, : m - k])):
-                idx.take(goes.ravel().nonzero()[0].reshape(out.shape), out=out, mode="clip")
+                # take would copy into a strided side through a new array: gather it in the
+                # third buffer, past the mask, instead (copyto skips copying out to itself)
+                past = np.ndarray(out.shape, np.intp, scratch, scratch.nbytes // 2)
+                into = out if out.flags.c_contiguous else past
+                idx.take(goes.ravel().nonzero()[0].reshape(out.shape), out=into, mode="clip")
+                np.copyto(out, into)
             idx, idx_buf, val_buf = kids.reshape(-1, k), val_buf, idx_buf
         short, m = short.repeat(2), k  # odd: every right child is short; even: no left child is
         short[odd::2] = odd

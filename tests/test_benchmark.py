@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,10 +6,15 @@ import numpy as np
 import pytest
 from conftest import BAD_COUNTS
 
+import entropart.benchmark
+import entropart.optimizer
 from entropart import (
     CovarianceSpec,
+    OptimizerConfig,
     PreconditionError,
+    SampleSet,
     bootstrap_ci_lower,
+    entropy_rotated,
     random_covariance,
     run_study,
     sample_gaussian,
@@ -16,7 +22,13 @@ from entropart import (
     study_to_json_dict,
     theoretical_entropy,
 )
-from entropart.benchmark import DET_FLOOR, STUDY_CSV_HEADER, depth_and_grid_for_bins
+from entropart.benchmark import (
+    DET_FLOOR,
+    STUDY_CSV_HEADER,
+    STUDY_METHODS,
+    depth_and_grid_for_bins,
+)
+from entropart.optimizer import BATCH_SAMPLES
 
 LOG2_2PIE = 4.094191170361282
 
@@ -211,6 +223,108 @@ class TestRunStudy:
     def test_rejects_too_few_samples(self):
         with pytest.raises(PreconditionError):
             run_study(8, 16, 2, seed=10)
+
+
+def estimates_table(study):
+    return np.array([[t.estimates[m] for m in STUDY_METHODS] for t in study.trial_results])
+
+
+CUSTOM = OptimizerConfig(starts=3, scan_points=256, eigenvector_start=False)
+
+# recorded from the sequential trial loop, before the searches of a group ran
+# in lock-step: a digest of every trial's four estimates, then mse and ci_lower
+SEQUENTIAL_STUDIES = [
+    (
+        (32, 4, 30, 21, None),
+        "a819e74c378e8ecc",
+        [0.015488301765893041, 0.014769209799429141, 0.027434951329520955, 0.0021621056654752145],
+        0.002575421313468851,
+    ),
+    (
+        (100, 16, 11, 22, None),
+        "16ed5f0f0dff9bd4",
+        [0.0035423504410513128, 0.006417245233297775, 0.013219192689735993, 0.0006919568057668625],
+        -0.000207140950420424,
+    ),
+    (
+        (100, 16, 34, 23, CUSTOM),
+        "8ac200e40245b951",
+        [0.021065657945469312, 0.019358662987855102, 0.04253867438795661, 0.0006724840660257645],
+        0.001786102456107287,
+    ),
+    (
+        (1024, 16, 2, 24, None),
+        "b3d8f744b96232f3",
+        [0.0013603549568390204, 0.0066122436822734, 0.007629673184169777, 0.006222052094665753],
+        -0.006720306190036045,
+    ),
+]
+
+
+class TestLockstepStudy:
+    @pytest.mark.parametrize("args, digest, mse, ci_lower", SEQUENTIAL_STUDIES)
+    def test_lockstep_study_is_the_sequential_study_bit_for_bit(self, args, digest, mse, ci_lower):
+        n, bins, trials, seed, config = args
+        group = BATCH_SAMPLES // n // ((config or OptimizerConfig()).starts + 2)
+        assert trials > max(1, group)  # more than one group, the last one short
+        study = run_study(n, bins, trials, seed, config, bootstrap_resamples=500)
+        assert study.failures == 0 and study.trials == trials
+        depth = depth_and_grid_for_bins(bins)[0]
+        for trial, result in enumerate(study.trial_results):
+            rng = np.random.default_rng([seed, trial])
+            samples = sample_gaussian(random_covariance(rng), n, rng)
+            expected = entropy_rotated(samples, depth, config).value
+            assert result.estimates["rotated_equiprobable"] == expected
+        table = estimates_table(study)
+        assert hashlib.sha256(table.tobytes()).hexdigest()[:16] == digest
+        assert [study.mse[m] for m in STUDY_METHODS] == mse
+        assert study.ci_lower == ci_lower
+
+    def test_a_group_shares_its_kernel_calls(self, monkeypatch):
+        # four N=100 trials are one group: each scan batch and each polish
+        # round is one kernel call across them, not one per trial
+        calls = []
+        kernel = entropart.optimizer.leaf_boxes
+        monkeypatch.setattr(
+            entropart.optimizer, "leaf_boxes", lambda *a: calls.append(1) or kernel(*a)
+        )
+        grouped = run_study(100, 16, 4, 5, bootstrap_resamples=50)
+        grouped_calls = len(calls)
+        monkeypatch.setattr(entropart.benchmark, "BATCH_SAMPLES", 1)  # groups of one trial
+        sequential = run_study(100, 16, 4, 5, bootstrap_resamples=50)
+        assert grouped_calls < (len(calls) - grouped_calls) / 2
+        assert estimates_table(grouped).tobytes() == estimates_table(sequential).tobytes()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [(None, "sample covariance overflows"), (CUSTOM, "bin volumes overflow")],
+        ids=["fails-at-creation", "fails-in-a-grouped-kernel-call"],
+    )
+    def test_a_failed_search_fails_only_its_own_trial(self, monkeypatch, config, message):
+        # trial 2's sample is stretched 1e200 along x and squeezed 1e-200 along
+        # y: its three baselines hold, but its search fails, either at its
+        # eigenvector seeds or where a rotated bin's volume overflows
+        plain = run_study(32, 4, 6, 12, config, bootstrap_resamples=200)
+        draw, stretch, drawn = entropart.benchmark.sample_gaussian, np.array([1e200, 1e-200]), []
+
+        def draw_trial_2_stretched(cov, n, rng):
+            drawn.append(draw(cov, n, rng))
+            return SampleSet(drawn[-1].data * stretch) if len(drawn) % 6 == 3 else drawn[-1]
+
+        monkeypatch.setattr(entropart.benchmark, "sample_gaussian", draw_trial_2_stretched)
+        grouped = run_study(32, 4, 6, 12, config, bootstrap_resamples=200)
+        monkeypatch.setattr(entropart.benchmark, "BATCH_SAMPLES", 1)  # groups of one trial
+        sequential = run_study(32, 4, 6, 12, config, bootstrap_resamples=200)
+        assert BATCH_SAMPLES // 32 // ((config or OptimizerConfig()).starts + 2) >= 6  # one group
+        with pytest.raises(PreconditionError, match=message):
+            entropy_rotated(SampleSet(drawn[2].data * stretch), 1, config)
+        assert (grouped.failures, grouped.trials) == (1, 5)
+        assert (sequential.failures, sequential.trials) == (1, 5)
+        others = estimates_table(plain)[[0, 1, 3, 4, 5]]
+        assert estimates_table(grouped).tobytes() == others.tobytes()
+        assert estimates_table(sequential).tobytes() == others.tobytes()
+        assert [grouped.mse[m] for m in STUDY_METHODS] == [sequential.mse[m] for m in STUDY_METHODS]
+        assert grouped.ci_lower == sequential.ci_lower
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,15 @@ from entropart import (
     rotate,
     volume_variance,
 )
-from entropart.optimizer import BATCH_SAMPLES, _golden_section, _lockstep, _nelder_mead, _variances
+from entropart.optimizer import (
+    BATCH_SAMPLES,
+    _drive,
+    _golden_section,
+    _lockstep,
+    _nelder_mead,
+    _variances,
+    optimise_rotations,
+)
 from entropart.partition import Workspace
 
 FAST = OptimizerConfig(scan_points=256)
@@ -132,6 +140,13 @@ class TestOptimiseRotation:
     def test_unsupported_dimension(self):
         with pytest.raises(PreconditionError):
             optimise_rotation(SampleSet([[0.0], [1.0]]), 1)
+
+    @pytest.mark.parametrize("shape", [(40, 2), (32, 3)])
+    def test_searches_together_need_one_n_and_d(self, shape):
+        rng = np.random.default_rng(4)
+        sets = [SampleSet(rng.normal(size=(32, 2))), SampleSet(rng.normal(size=shape))]
+        with pytest.raises(PreconditionError, match="share N and d"):
+            optimise_rotations(sets, 1, FAST)
 
     def test_insufficient_samples(self):
         s = SampleSet([[0.0, 0.0], [1.0, 1.0]])
@@ -284,7 +299,7 @@ def correlated_sample(n, decimals=None, seed=90):
 def planar_variances(sample, thetas, depth):
     """The 2-D search objective: volume variance at each angle, in batches."""
     mrps = [mrp_from_angle_2d(normalize_angle(theta)).mrp for theta in thetas]
-    return _variances(sample.data - sample.barycentre, mrps, depth, (0, 1), Workspace())
+    return _variances([(sample.data - sample.barycentre, mrps)], depth, (0, 1), Workspace())[0]
 
 
 class TestBatchedSearch:
@@ -305,7 +320,7 @@ class TestBatchedSearch:
             s = SampleSet(data if decimals is None else np.round(data, decimals))
             rotations = [Rotation(m) for m in rng.normal(scale=0.6, size=(200, 3))]
             mrps = [r.mrp for r in rotations]
-            batched = _variances(s.data - s.barycentre, mrps, 2, (0, 1, 2), Workspace())
+            batched = _variances([(s.data - s.barycentre, mrps)], 2, (0, 1, 2), Workspace())[0]
         assert len(rotations) > BATCH_SAMPLES // s.n
         for rot, value in zip(rotations, batched):
             assert value == volume_variance(s, rot, 2).variance
@@ -349,7 +364,7 @@ class TestBatchedSearch:
         step = 2.0 * np.pi / 64
         seeds = [2.0 * np.pi * i / 16 for i in range(16)]
         runs = [_golden_section(x - step, x + step, max_iterations, 1e-10) for x in seeds]
-        lockstep = _lockstep(objective, runs)
+        lockstep = _drive(_lockstep(runs), objective)
         probes = []
         for seed, result in zip(seeds, lockstep):
             calls = []
@@ -375,10 +390,10 @@ class TestBatchedSearch:
         centred = rng.normal(size=(512, 3))
         centred -= centred.mean(axis=0)
         mrps = rng.normal(scale=0.6, size=(17, 3))
-        _variances(centred, mrps, 1, (0, 1, 2), Workspace())  # leave first-call set-up out
+        _variances([(centred, mrps)], 1, (0, 1, 2), Workspace())  # leave first-call set-up out
         tracemalloc.start()
         try:
-            _variances(centred, mrps, 1, (0, 1, 2), Workspace())
+            _variances([(centred, mrps)], 1, (0, 1, 2), Workspace())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,10 +409,10 @@ class TestBatchedSearch:
         centred -= centred.mean(axis=0)
         mrps = [mrp_from_angle_2d(theta).mrp for theta in (0.4, 2.9)]
         workspace = Workspace()
-        _variances(centred, mrps, 3, (0, 1), workspace)
+        _variances([(centred, mrps)], 3, (0, 1), workspace)
         tracemalloc.start()
         try:
-            _variances(centred, mrps, 3, (0, 1), workspace)
+            _variances([(centred, mrps)], 3, (0, 1), workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -468,7 +483,7 @@ class TestNelderMead:
             recording(_nelder_mead(x0, max_iterations, 1e-8, 1e-10), seen)
             for x0, seen in zip(starts, probes)
         ]
-        results = _lockstep(lambda points: [f(x) for x in points], runs)
+        results = _drive(_lockstep(runs), lambda points: [f(x) for x in points])
         for x0, seen, (x, value, converged) in zip(starts, probes, results):
             expected, per_iteration, reference = scipy_nelder_mead(f, x0, max_iterations, 1e-10)
             assert x.tobytes() == reference.x.tobytes()
