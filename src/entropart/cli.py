@@ -21,10 +21,6 @@ import numpy as np
 from .benchmark import run_study, study_to_csv, study_to_json_dict
 from .errors import PreconditionError
 from .estimators import (
-    METHOD_EQUIPROBABLE,
-    METHOD_MARGINAL,
-    METHOD_NAIVE,
-    METHOD_ROTATED,
     ensemble_estimate,
     entropy_equiprobable_estimate,
     entropy_marginal_equiquantised,
@@ -35,14 +31,22 @@ from .geometry import SampleSet
 from .optimizer import entropy_rotated, optimise_rotation
 from .partition import build_equiprobable, partition_to_dict
 
-METHOD_ALIASES = {
-    "naive": METHOD_NAIVE,
-    "marginal": METHOD_MARGINAL,
-    "equiprobable": METHOD_EQUIPROBABLE,
-    "rotated": METHOD_ROTATED,
-    "ensemble": "ensemble",
+
+def _ensemble(samples, depth, _):
+    """Mean equiprobable estimate over the cyclic shifts of the dimension order."""
+    d = samples.d
+    orders = [tuple((i + j) % d for j in range(d)) for i in range(d)]
+    return ensemble_estimate(samples, depth, orders)
+
+
+# each --method's size flag and its estimator, called with (samples, size, cycle order)
+METHODS = {
+    "naive": ("--bins-per-dim", lambda s, bins, _: entropy_naive(s, bins)),
+    "marginal": ("--bins-per-dim", lambda s, bins, _: entropy_marginal_equiquantised(s, bins)),
+    "equiprobable": ("--depth", entropy_equiprobable_estimate),
+    "rotated": ("--depth", lambda s, depth, order: entropy_rotated(s, depth, cycle_order=order)),
+    "ensemble": ("--depth", _ensemble),
 }
-GRID_METHODS = ("naive", "marginal")  # the rest take --depth instead of --bins-per-dim
 
 
 class CsvParseError(ValueError):
@@ -175,33 +179,16 @@ def _rotation_fields(rot) -> dict:
 
 
 def _cmd_estimate(args) -> int:
-    method = args.method
-    if method in GRID_METHODS:
-        if args.bins_per_dim is None:
-            raise UsageError(f"--method {method} requires --bins-per-dim")
-        if args.depth is not None:
-            raise UsageError(f"--method {method} does not accept --depth")
-    else:
-        if args.depth is None:
-            raise UsageError(f"--method {method} requires --depth")
-        if args.bins_per_dim is not None:
-            raise UsageError(f"--method {method} does not accept --bins-per-dim")
+    flag, estimator = METHODS[args.method]
+    sizes = {"--depth": args.depth, "--bins-per-dim": args.bins_per_dim}
+    other = "--depth" if flag == "--bins-per-dim" else "--bins-per-dim"
+    if sizes[flag] is None:
+        raise UsageError(f"--method {args.method} requires {flag}")
+    if sizes[other] is not None:
+        raise UsageError(f"--method {args.method} does not accept {other}")
 
     samples = _load_input(args)
-    cycle_order = _parse_cycle_order(args.cycle_order)
-    if method == "naive":
-        est = entropy_naive(samples, args.bins_per_dim)
-    elif method == "marginal":
-        est = entropy_marginal_equiquantised(samples, args.bins_per_dim)
-    elif method == "equiprobable":
-        est = entropy_equiprobable_estimate(samples, args.depth, cycle_order)
-    elif method == "rotated":
-        est = entropy_rotated(samples, args.depth, cycle_order=cycle_order)
-    else:  # ensemble over cyclic shifts of the dimension order
-        d = samples.d
-        orders = [tuple((i + j) % d for j in range(d)) for i in range(d)]
-        est = ensemble_estimate(samples, args.depth, orders)
-
+    est = estimator(samples, sizes[flag], _parse_cycle_order(args.cycle_order))
     doc = {
         "method": est.method,
         "entropy_bits": est.value,
@@ -259,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate the entropy of a CSV sample")
     est.add_argument("--input", required=True, help="CSV file, one sample per row")
-    est.add_argument("--method", required=True, choices=sorted(METHOD_ALIASES))
+    est.add_argument("--method", required=True, choices=sorted(METHODS))
     est.add_argument("--depth", type=int, help="tree recursion depth (tree methods)")
     est.add_argument("--bins-per-dim", type=int, help="grid bins per dimension (grid methods)")
     est.add_argument("--cycle-order", help="comma-separated dimension order, e.g. 1,0")

@@ -109,8 +109,9 @@ def optimise_rotation(
     the search found at the winning orientation and the one partition built
     there, both bit for bit what :func:`volume_variance` gives at that
     rotation, and whether the winning local run met its tolerance.  The
-    result never exceeds the objective at any start point; exact ties are
-    broken toward the smallest rotation angle so results are reproducible.
+    result never exceeds the objective at any start point (a 3-D run's best
+    vertex never rises above its start); exact ties are broken toward the
+    smallest rotation angle so results are reproducible.
     """
     return optimise_rotations([samples], depth, config, cycle_order)[0]
 
@@ -346,15 +347,11 @@ def _optimise_3d(centred, config, extra):
             starts.append(np.tan(angle / 4.0) * axis)
     starts += extra
 
-    seed_values = yield centred, np.array(starts)
+    # each run's first probe is its start, and its best vertex never rises above it
     runs = [_nelder_mead(x0, config.max_iterations, 1e-8, config.tolerance) for x0 in starts]
     polished = yield from _lockstep(runs, lambda mrps: (centred, np.array(mrps)))
-    candidates = []  # (variance, rotation angle, MRP, converged): each seed, then its run
-    for x0, seed_var, (mrp, value, ok) in zip(starts, seed_values, polished):
-        candidates.append((seed_var, Rotation(x0).angle, x0, True))
-        candidates.append((value, Rotation(mrp).angle, mrp, ok))
-
-    variance, _, mrp, converged = min(candidates, key=lambda c: (c[0], c[1]))
+    # the smallest variance wins, then the smallest rotation angle
+    mrp, variance, converged = min(polished, key=lambda r: (r[1], Rotation(r[0]).angle))
     return Rotation(mrp), variance, converged
 
 

@@ -271,6 +271,27 @@ class TestEstimateCommand:
         assert code == 2
         assert err.startswith("error: usage:")
 
+    @pytest.mark.parametrize(
+        "method, flag, other",
+        [
+            ("naive", "--bins-per-dim", "--depth"),
+            ("marginal", "--bins-per-dim", "--depth"),
+            ("equiprobable", "--depth", "--bins-per-dim"),
+            ("rotated", "--depth", "--bins-per-dim"),
+            ("ensemble", "--depth", "--bins-per-dim"),
+        ],
+    )
+    @pytest.mark.parametrize("given", ["neither", "other", "both"])
+    def test_each_method_takes_its_own_size_flag(
+        self, capsys, corners_csv, method, flag, other, given
+    ):
+        # a missing size flag is named before a wrong one
+        sizes = {"neither": [], "other": [other, "1"], "both": [flag, "1", other, "1"]}[given]
+        code = main(["estimate", "--input", corners_csv, "--method", method, *sizes])
+        wrong = f"does not accept {other}" if given == "both" else f"requires {flag}"
+        assert code == 2
+        assert capsys.readouterr().err == f"error: usage: --method {method} {wrong}\n"
+
 
 class TestBenchmarkCommand:
     def test_csv_schema_and_determinism(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from conftest import BAD_COUNTS, circular_distance
 from scipy import optimize
 
+import entropart.optimizer
 from entropart import (
     DegeneratePartitionError,
     OptimizerConfig,
@@ -26,6 +28,8 @@ from entropart import (
 from entropart.optimizer import (
     BATCH_SAMPLES,
     _drive,
+    _eigenvector_mrps_3d,
+    _fibonacci_axes,
     _golden_section,
     _lockstep,
     _nelder_mead,
@@ -193,7 +197,59 @@ class TestOptimiseRotation:
         assert not optimise_rotation(s, 1, config)[1].converged
 
 
+SHORT_3D = OptimizerConfig(starts=4, max_iterations=40)
+LONG_3D = OptimizerConfig(starts=4, max_iterations=400)  # every winning run converges
+
+# recorded before the 3-D starts lost their own evaluation batch: per seeded
+# input (seed, N, rounded to decimals, depth) and config, a digest of the
+# winning MRP's bytes, its variance and converged
+SEEDED_3D = [
+    ((60, 96, None, 1), None, "c6258b0c8655f016", 0.001030345599473448, False),
+    ((60, 96, None, 1), SHORT_3D, "3821b1a9a1b896b9", 0.0013701658001692494, False),
+    ((60, 96, None, 1), LONG_3D, "f8c720e999977f89", 0.0010296379829687645, True),
+    ((61, 256, None, 1), None, "6b22e8954acadba4", 0.0008091909322421387, False),
+    ((61, 256, None, 1), SHORT_3D, "d12e0f583325433b", 0.0010756893187524965, False),
+    ((61, 256, None, 1), LONG_3D, "f2e9bfa77e13fa78", 0.0010457320478416917, True),
+    ((62, 128, 1, 1), None, "20d1cf61219f87b2", 0.00023516388173482836, False),
+    ((62, 128, 1, 1), SHORT_3D, "4ba9b61ac55770ad", 0.0002619584583686185, False),
+    ((62, 128, 1, 1), LONG_3D, "abad5b10d2d4182c", 0.00015560577761815204, True),
+    ((63, 200, 1, 2), None, "ee178c1d644ca155", 0.00018774499155118079, False),
+    ((63, 200, 1, 2), SHORT_3D, "3bff0b0e0e76b082", 0.00020564254129288282, False),
+    ((63, 200, 1, 2), LONG_3D, "e47bbce2f5a8d6af", 0.00020544266855967175, True),
+]
+
+
 class TestOptimise3d:
+    @pytest.mark.parametrize("sample, config, digest, variance, converged", SEEDED_3D)
+    def test_seeded_searches_are_pinned(self, sample, config, digest, variance, converged):
+        seed, n, decimals, depth = sample
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n, 3)) @ rng.normal(size=(3, 3))
+        s = SampleSet(data if decimals is None else np.round(data, decimals))
+        rot, ev = optimise_rotation(s, depth, config)
+        assert hashlib.sha256(rot.mrp.tobytes()).hexdigest()[:16] == digest
+        assert (ev.variance, ev.converged) == (variance, converged)
+
+    def test_each_start_is_evaluated_once(self, monkeypatch):
+        # a Nelder-Mead run's first probe is its start, so the starts need no
+        # evaluation of their own
+        rng = np.random.default_rng(82)
+        s = SampleSet(rng.normal(size=(128, 3)) @ rng.normal(size=(3, 3)))
+        requested, variances = [], entropart.optimizer._variances
+
+        def recording(requests, *args):
+            requested.extend(mrp.tobytes() for _, mrps in requests for mrp in mrps)
+            return variances(requests, *args)
+
+        monkeypatch.setattr(entropart.optimizer, "_variances", recording)
+        optimise_rotation(s, 1)
+        turns = (np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0)
+        axes = _fibonacci_axes((OptimizerConfig().starts - 1) // 3)
+        starts = [np.zeros(3)] + [np.tan(a / 4.0) * axis for axis in axes for a in turns]
+        starts += _eigenvector_mrps_3d(s)
+        assert len(starts) == 17
+        assert [requested.count(x.tobytes()) for x in starts] == [1] * 17
+
     def test_finds_no_worse_than_identity(self):
         rng = np.random.default_rng(80)
         data = rng.normal(size=(128, 3)) @ rng.normal(size=(3, 3))
