@@ -32,20 +32,14 @@ from .optimizer import entropy_rotated, optimise_rotation
 from .partition import build_equiprobable, partition_to_dict
 
 
-def _ensemble(samples, depth, _):
-    """Mean equiprobable estimate over the cyclic shifts of the dimension order."""
-    d = samples.d
-    orders = [tuple((i + j) % d for j in range(d)) for i in range(d)]
-    return ensemble_estimate(samples, depth, orders)
-
-
-# each --method's size flag and its estimator, called with (samples, size, cycle order)
+# each --method's estimator and the flags it takes, size flag first; the estimator is
+# called with the samples and the given flags' values in this order
 METHODS = {
-    "naive": ("--bins-per-dim", lambda s, bins, _: entropy_naive(s, bins)),
-    "marginal": ("--bins-per-dim", lambda s, bins, _: entropy_marginal_equiquantised(s, bins)),
-    "equiprobable": ("--depth", entropy_equiprobable_estimate),
-    "rotated": ("--depth", lambda s, depth, order: entropy_rotated(s, depth, cycle_order=order)),
-    "ensemble": ("--depth", _ensemble),
+    "naive": (entropy_naive, "--bins-per-dim"),
+    "marginal": (entropy_marginal_equiquantised, "--bins-per-dim"),
+    "equiprobable": (entropy_equiprobable_estimate, "--depth", "--cycle-order"),
+    "rotated": (lambda s, depth, order: entropy_rotated(s, depth, cycle_order=order), "--depth", "--cycle-order"),
+    "ensemble": (ensemble_estimate, "--depth"),
 }
 
 
@@ -179,16 +173,17 @@ def _rotation_fields(rot) -> dict:
 
 
 def _cmd_estimate(args) -> int:
-    flag, estimator = METHODS[args.method]
-    sizes = {"--depth": args.depth, "--bins-per-dim": args.bins_per_dim}
-    other = "--depth" if flag == "--bins-per-dim" else "--bins-per-dim"
-    if sizes[flag] is None:
-        raise UsageError(f"--method {args.method} requires {flag}")
-    if sizes[other] is not None:
-        raise UsageError(f"--method {args.method} does not accept {other}")
+    estimator, *flags = METHODS[args.method]
+    given = {"--bins-per-dim": args.bins_per_dim, "--depth": args.depth, "--cycle-order": args.cycle_order}
+    if given[flags[0]] is None:
+        raise UsageError(f"--method {args.method} requires {flags[0]}")
+    for flag, value in given.items():
+        if value is not None and flag not in flags:
+            raise UsageError(f"--method {args.method} does not accept {flag}")
 
-    samples = _load_input(args)
-    est = estimator(samples, sizes[flag], _parse_cycle_order(args.cycle_order))
+    samples = _load_input(args)  # an unreadable file is named before a malformed order
+    given["--cycle-order"] = _parse_cycle_order(args.cycle_order)
+    est = estimator(samples, *(given[flag] for flag in flags))
     doc = {
         "method": est.method,
         "entropy_bits": est.value,
@@ -243,15 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonparametric entropy estimation with equiprobable partitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the input options of the two commands that read a CSV sample
+    sample = argparse.ArgumentParser(add_help=False)
+    sample.add_argument("--input", required=True, help="CSV file, one sample per row")
+    sample.add_argument("--cycle-order", help="comma-separated dimension order, e.g. 1,0")
+    sample.add_argument("--winsorise", type=float, metavar="K_SIGMA", help="clip to mean +/- K*std first")
+    sample.add_argument("--has-header", action="store_true", help="skip the first CSV line")
 
-    est = sub.add_parser("estimate", help="estimate the entropy of a CSV sample")
-    est.add_argument("--input", required=True, help="CSV file, one sample per row")
+    est = sub.add_parser("estimate", parents=[sample], help="estimate the entropy of a CSV sample")
     est.add_argument("--method", required=True, choices=sorted(METHODS))
     est.add_argument("--depth", type=int, help="tree recursion depth (tree methods)")
     est.add_argument("--bins-per-dim", type=int, help="grid bins per dimension (grid methods)")
-    est.add_argument("--cycle-order", help="comma-separated dimension order, e.g. 1,0")
-    est.add_argument("--winsorise", type=float, metavar="K_SIGMA", help="clip to mean +/- K*std first")
-    est.add_argument("--has-header", action="store_true", help="skip the first CSV line")
     est.set_defaults(func=_cmd_estimate)
 
     bench = sub.add_parser("benchmark", help="run the Gaussian Monte Carlo study")
@@ -263,13 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.set_defaults(func=_cmd_benchmark)
 
-    dump = sub.add_parser("dump-partition", help="export partition geometry as JSON")
-    dump.add_argument("--input", required=True, help="CSV file, one sample per row")
-    dump.add_argument("--depth", type=int, required=True)
+    dump = sub.add_parser("dump-partition", parents=[sample], help="export partition geometry as JSON")
+    dump.add_argument("--depth", type=int, required=True, help="tree recursion depth")
     dump.add_argument("--rotate", action="store_true", help="dump the optimally rotated partition")
-    dump.add_argument("--cycle-order", help="comma-separated dimension order")
-    dump.add_argument("--winsorise", type=float, metavar="K_SIGMA")
-    dump.add_argument("--has-header", action="store_true")
     dump.set_defaults(func=_cmd_dump_partition)
     return parser
 

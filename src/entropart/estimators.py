@@ -178,14 +178,15 @@ def winsorise(samples: SampleSet, k_sigma: float = 3.0) -> SampleSet:
     return SampleSet._adopt(np.clip(samples.data, mean - k_sigma * std, mean + k_sigma * std))
 
 
-def ensemble_estimate(samples: SampleSet, depth: int, orders) -> EntropyEstimate:
+def ensemble_estimate(samples: SampleSet, depth: int, orders=None) -> EntropyEstimate:
     """Mean equiprobable entropy over partitions built with several cycle orders."""
+    d = samples.d
+    if orders is None:  # every cyclic shift of 0, 1, ..., d-1
+        orders = [[(i + j) % d for j in range(d)] for i in range(d)]
     orders = [tuple(o) for o in orders]
     if not orders:
         raise PreconditionError("ensemble requires at least one cycle order")
-    values = [
-        entropy_equiprobable(build_equiprobable(samples, depth, order)) for order in orders
-    ]
+    values = [entropy_equiprobable(build_equiprobable(samples, depth, o)) for o in orders]
     return EntropyEstimate(
         value=float(np.mean(values)),
         method=METHOD_ENSEMBLE,

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 from importlib import resources
 
 import numpy as np
@@ -281,14 +283,26 @@ class TestEstimateCommand:
             ("ensemble", "--depth", "--bins-per-dim"),
         ],
     )
-    @pytest.mark.parametrize("given", ["neither", "other", "both"])
+    @pytest.mark.parametrize("given", ["neither", "other", "both", "cycle-order"])
     def test_each_method_takes_its_own_size_flag(
-        self, capsys, corners_csv, method, flag, other, given
+        self, capsys, tmp_path, corners_csv, method, flag, other, given
     ):
-        # a missing size flag is named before a wrong one
-        sizes = {"neither": [], "other": [other, "1"], "both": [flag, "1", other, "1"]}[given]
-        code = main(["estimate", "--input", corners_csv, "--method", method, *sizes])
-        wrong = f"does not accept {other}" if given == "both" else f"requires {flag}"
+        if given == "cycle-order":
+            argv = ["estimate", "--input", corners_csv, "--method", method, flag, "1"]
+            if method in ("equiprobable", "rotated"):  # the identity order changes nothing
+                assert main(argv) == 0
+                plain = capsys.readouterr()
+                assert main([*argv, "--cycle-order", "0,1"]) == 0
+                assert capsys.readouterr() == plain
+                return
+            # the grid methods and the ensemble refuse an order before reading the input
+            argv[2] = str(tmp_path / "missing.csv")
+            code, wrong = main([*argv, "--cycle-order", "0,1"]), "does not accept --cycle-order"
+        else:
+            # a missing size flag is named before a wrong one
+            sizes = {"neither": [], "other": [other, "1"], "both": [flag, "1", other, "1"]}[given]
+            code = main(["estimate", "--input", corners_csv, "--method", method, *sizes])
+            wrong = f"does not accept {other}" if given == "both" else f"requires {flag}"
         assert code == 2
         assert capsys.readouterr().err == f"error: usage: --method {method} {wrong}\n"
 
@@ -395,3 +409,30 @@ def test_overflowing_mean_exits_3_without_a_second_parse(capsys, tmp_path, monke
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "error: precondition: sample mean overflows float64; rescale the samples\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["estimate", "--method", "naive", "--bins-per-dim", "4"], 0),
+        (["estimate", "--method", "marginal", "--bins-per-dim", "4"], 0),
+        (["estimate", "--method", "equiprobable", "--depth", "2"], 0),
+        (["estimate", "--method", "rotated", "--depth", "2"], 0),
+        (["estimate", "--method", "ensemble", "--depth", "2"], 0),
+        (["estimate", "--method", "equiprobable", "--depth", "2", "--cycle-order", "1,0"], 0),
+        (["estimate", "--method", "rotated", "--depth", "2", "--cycle-order", "1,0"], 0),
+        (["dump-partition", "--depth", "2", "--rotate"], 0),
+        (["benchmark", "--n", "32", "--bins", "4", "--trials", "3", "--seed", "1"], 0),
+        (["estimate", "--method", "naive", "--bins-per-dim", "4", "--cycle-order", "1,0"], 2),
+    ],
+)
+def test_every_cli_path_runs_without_scipy(capsys, monkeypatch, fig2_csv, argv, want):
+    # scipy is a test extra, not a runtime dependency: with it blocked, the
+    # package is imported afresh, so an import at module level fails here too
+    monkeypatch.setitem(sys.modules, "scipy", None)  # "import scipy..." raises ImportError
+    for name in [m for m in sys.modules if m == "entropart" or m.startswith("entropart.")]:
+        monkeypatch.delitem(sys.modules, name)
+    fresh = importlib.import_module("entropart.cli")
+    if argv[0] != "benchmark":
+        argv = [*argv, "--input", fig2_csv]
+    assert fresh.main(argv) == want, capsys.readouterr().err
