@@ -164,16 +164,17 @@ def entropy_rotated(
 def _optimise_2d(centred, config, extra):
     def request(thetas):
         mrps = np.zeros((len(thetas), 3))
-        mrps[:, 2] = np.tan(np.array([normalize_angle(theta) for theta in thetas]) / 4.0)
+        mrps[:, 2] = np.tan(_canonical_angles(thetas) / 4.0)
         return centred, mrps
 
-    scan_angles = [TWO_PI * i / config.scan_points for i in range(config.scan_points)]
-    angles = scan_angles + extra
-    values = yield request(angles)
+    scan_angles = TWO_PI * np.arange(config.scan_points) / config.scan_points
+    angles = _canonical_angles(np.concatenate([scan_angles, extra]))
+    values = np.array((yield request(angles)))
 
     # (variance, canonical angle, converged); smallest-angle wins exact ties; of the scan only
     # its best is kept, as every search of a group holds its candidates through the polish
-    candidates = [min((value, normalize_angle(angle), True) for value, angle in zip(values, angles))]
+    best = np.lexsort((angles, values))[0]
+    candidates = [(float(values[best]), float(angles[best]), True)]
     seeds = _best_basin_seeds(values[: len(scan_angles)], scan_angles, config.starts) + extra
 
     step = TWO_PI / config.scan_points  # each polish brackets one scan step either side
@@ -209,18 +210,20 @@ def _variances(requests, depth, order, workspace) -> list[list]:
     return [variances[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
+def _canonical_angles(thetas) -> np.ndarray:
+    """:func:`normalize_angle` of each angle, bit for bit."""
+    reduced = np.remainder(thetas, TWO_PI)  # Python's float % for a positive modulus
+    reduced[reduced == TWO_PI] = 0.0
+    return reduced
+
+
 def _best_basin_seeds(values, angles, starts: int) -> list[float]:
-    """Angles of the ``starts`` best distinct local minima of a cyclic scan."""
-    m = len(values)
-    minima = [
-        i
-        for i in range(m)
-        if values[i] < values[(i - 1) % m] and values[i] <= values[(i + 1) % m]
-    ]
-    if not minima:  # flat scan; any angle does, prefer the smallest
-        minima = [int(np.argmin(values))]
-    minima.sort(key=lambda i: (values[i], angles[i]))
-    return [angles[i] for i in minima[:starts]]
+    """Angles of the ``starts`` best distinct local minima of a cyclic scan of arrays."""
+    minima = ((values < np.roll(values, 1)) & (values <= np.roll(values, -1))).nonzero()[0]
+    if not len(minima):  # flat scan; any angle does, prefer the smallest
+        minima = np.argmin(values)[None]
+    minima = minima[np.lexsort((angles[minima], values[minima]))]
+    return angles[minima[:starts]].tolist()
 
 
 def _leading_eigenvector(samples) -> np.ndarray:

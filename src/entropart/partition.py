@@ -21,6 +21,11 @@ from .geometry import BoundingBox, SampleSet
 # beyond this depth bivariate bins hold too few samples to be informative
 MAX_RECOMMENDED_BIVARIATE_DEPTH = 4
 
+# the median split sorts rows of at most this many entries and selects in longer
+# ones: numpy's SIMD sort took 0.5-0.7x the time of a selection plus a row minimum
+# for 4 <= m <= 256, 1.0-1.2x for 320 <= m <= 512 and 1.5-2.3x from 1024 on (README)
+SORTED_ROW_MAX = 256
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -74,19 +79,25 @@ def median_split(points, dim: int):
 def _split_rows(values: np.ndarray, scratch: np.ndarray):
     """Median-split the rows of (R, m) ``values``: the mask of entries going right, and the splits.
 
-    Each row selects its k-th smallest value once; the minimum of the values to its
-    right is the next order statistic, and the split is their midpoint.  Where the
-    two tie, only a stable sort of the row knows which tied entries go left.  The
-    selection runs in ``scratch``, a flat float array of at least R*m entries that
+    The split is the midpoint of each row's k-th and (k+1)-th smallest values.  Rows
+    of at most ``SORTED_ROW_MAX`` entries are sorted, and the two are read from
+    columns k-1 and k; a longer row selects its k-th smallest value once, and the
+    minimum of the values to its right is the next one.  Where the two tie, only a
+    stable sort of the row knows which tied entries go left.  The sort or selection
+    runs on a copy in ``scratch``, a flat float array of at least R*m entries that
     shares no storage with ``values``; the mask is a view of its first R*m bytes.
     """
     m = values.shape[1]
     k = (m + 1) // 2
     selected = np.ndarray(values.shape, float, scratch)  # a view, as is the mask below
     np.copyto(selected, values)
-    # a single kth takes numpy's SIMD quickselect; a tuple kth does not
-    selected.partition(k - 1, axis=1)
-    below, above = selected[:, k - 1].copy(), np.minimum.reduce(selected[:, k:], axis=1)
+    if m <= SORTED_ROW_MAX:
+        selected.sort(axis=1)
+        above = selected[:, k].copy()
+    else:  # a single kth takes numpy's SIMD quickselect; a tuple kth does not
+        selected.partition(k - 1, axis=1)
+        above = np.minimum.reduce(selected[:, k:], axis=1)
+    below = selected[:, k - 1].copy()
     right = np.greater(values, below[:, None], out=np.ndarray(values.shape, bool, scratch))
     for row in (below == above).nonzero()[0]:  # the sort also orders -0.0 and 0.0
         order = values[row].argsort(kind="stable")
@@ -140,11 +151,13 @@ def leaf_boxes(points: np.ndarray, depth: int, order, workspace: Workspace | Non
     schedule = tuple(order) * depth
     cells = 1 << max(len(schedule) - 1, 0)  # the last level's matrix is the largest
     # a level's values overwrite the index rows of the level before, and its index rows
-    # the values; the selection, then the mask, take the third buffer
+    # the values; the sort or selection, then the mask, take the third buffer
     idx_buf, val_buf, scratch = (workspace or Workspace()).levels(a * cells * -(-n // cells))
     idx, short, m = np.ndarray((a, n), np.intp, idx_buf), np.zeros(1, dtype=bool), n
-    # a narrow ramp: an intp one, beside the level buffers, would set a large build's peak
-    np.add.outer(d * n * np.arange(a), np.arange(n, dtype=np.min_scalar_type(-n)), out=idx)
+    # a narrow ramp, cast in place: an intp temporary the size of idx would set the
+    # peak of a large build, and of a kernel call on a warm workspace
+    idx[:] = np.arange(n, dtype=np.min_scalar_type(-n))
+    idx += (d * n * np.arange(a))[:, None]
     for j, dim in enumerate(schedule, 1):
         c, k, odd = len(short), (m + 1) // 2, m % 2 == 1
         values = np.ndarray(idx.shape, float, val_buf)
@@ -219,7 +232,13 @@ def bin_volumes(partition: Partition, normalize: bool = False) -> np.ndarray:
 def box_volumes(lower, upper, normalize: bool = False) -> np.ndarray:
     """Volumes of boxes (..., B, d), raw or divided by their total over B; raises if not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by name
-        vols = (upper - lower).prod(axis=-1)
+        widths = upper - lower
+        d = widths.shape[-1]
+        # d-1 column multiplies, left to right as prod's reduce, without its per-row
+        # cost; a 0-D document's one box has volume 1, the empty product
+        vols = widths[..., 0].copy() if d else np.ones(widths.shape[:-1])
+        for dim in range(1, d):
+            vols *= widths[..., dim]
         total = vols.sum(axis=-1, keepdims=True) if normalize else vols
     require_finite_volumes(total)
     if not normalize:

@@ -25,14 +25,18 @@ from entropart import (
     rotate,
     volume_variance,
 )
+from entropart.geometry import TWO_PI
 from entropart.optimizer import (
     BATCH_SAMPLES,
+    _best_basin_seeds,
+    _canonical_angles,
     _drive,
     _eigenvector_mrps_3d,
     _fibonacci_axes,
     _golden_section,
     _lockstep,
     _nelder_mead,
+    _optimise_2d,
     _variances,
     optimise_rotations,
 )
@@ -519,6 +523,111 @@ def volume_variance_3d(x):
     rng = np.random.default_rng(92)
     s = SampleSet(rng.normal(size=(256, 3)) @ rng.normal(size=(3, 3)))
     return volume_variance(s, Rotation(x), 1).variance
+
+
+def loop_basin_seeds(values, angles, starts):
+    """The scan's basin seeds found one index at a time: the reference for the array form."""
+    m = len(values)
+    minima = [
+        i
+        for i in range(m)
+        if values[i] < values[(i - 1) % m] and values[i] <= values[(i + 1) % m]
+    ]
+    if not minima:
+        minima = [int(np.argmin(values))]
+    minima.sort(key=lambda i: (values[i], angles[i]))
+    return [angles[i] for i in minima[:starts]]
+
+
+def loop_optimise_2d(centred, config, extra):
+    """The 2-D search with its scan bookkept in Python lists: the reference for the array form."""
+
+    def request(thetas):
+        mrps = np.zeros((len(thetas), 3))
+        mrps[:, 2] = np.tan(np.array([normalize_angle(theta) for theta in thetas]) / 4.0)
+        return centred, mrps
+
+    scan_angles = [TWO_PI * i / config.scan_points for i in range(config.scan_points)]
+    angles = scan_angles + extra
+    values = yield request(angles)
+    candidates = [min((value, normalize_angle(angle), True) for value, angle in zip(values, angles))]
+    seeds = loop_basin_seeds(values[: len(scan_angles)], scan_angles, config.starts) + extra
+    step = TWO_PI / config.scan_points
+    runs = [
+        _golden_section(s - step, s + step, config.max_iterations, config.tolerance) for s in seeds
+    ]
+    polished = yield from _lockstep(runs, request)
+    candidates += [(value, normalize_angle(x), ok) for x, value, ok in polished]
+    variance, angle, converged = min(candidates, key=lambda c: (c[0], c[1]))
+    return mrp_from_angle_2d(angle), variance, converged
+
+
+def landscape(kind, theta):
+    """Objective values at angles ``theta``: random, flat, tied, or one minimum either
+    side of the wrap of a 64-point scan."""
+    if kind == "random":
+        return np.random.default_rng(len(theta)).random(len(theta))
+    if kind == "flat":
+        return np.zeros(len(theta))
+    if kind == "tied":  # plateaus and equal basins
+        return np.round(np.sin(7.0 * theta), 1)
+    if kind == "minimum-first":  # its neighbour across the wrap is the last scan angle
+        return 1.0 - np.cos(theta)
+    return 1.0 - np.cos(theta + TWO_PI / 64)  # minimum-last
+
+
+LANDSCAPES = ["random", "flat", "tied", "minimum-first", "minimum-last"]
+
+
+class TestScanBookkeeping:
+    @pytest.mark.parametrize("starts", [1, 3, 40])
+    @pytest.mark.parametrize("m", [1, 2, 5, 64])
+    @pytest.mark.parametrize("kind", LANDSCAPES)
+    def test_basin_seeds_match_the_loop(self, kind, m, starts):
+        angles = TWO_PI * np.arange(m) / m
+        values = landscape(kind, angles)
+        want = loop_basin_seeds(values.tolist(), [TWO_PI * i / m for i in range(m)], starts)
+        got = _best_basin_seeds(values, angles, starts)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        if kind == "minimum-first":
+            assert got[0] == 0.0
+        if kind == "minimum-last" and m == 64:
+            assert got[0] == angles[-1]
+
+    def test_canonical_angles_match_normalize_angle(self):
+        # -1e-300 % 2pi rounds to 2pi itself, which normalize_angle maps to 0
+        thetas = np.concatenate(
+            [
+                np.random.default_rng(5).uniform(-20.0, 20.0, 200),
+                [0.0, -0.0, TWO_PI, -TWO_PI, 3 * TWO_PI, -1e-300, 1e-300, -1e-17, np.pi],
+            ]
+        )
+        got = _canonical_angles(thetas.tolist())
+        want = [normalize_angle(theta) for theta in thetas]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("extra", [[], [0.67, 4.0]])
+    @pytest.mark.parametrize("kind", LANDSCAPES)
+    def test_search_matches_the_loop(self, kind, extra):
+        # every probe, the winner and its tie-break, through the scan and the polish
+        config = OptimizerConfig(scan_points=64, starts=4, max_iterations=12)
+        centred = np.zeros((4, 2))
+        results, probes = [], []
+        for search in (_optimise_2d, loop_optimise_2d):
+            seen = []
+
+            def answer(requests, seen=seen):
+                seen.extend(mrps.tobytes() for _, mrps in requests)
+                thetas = [4.0 * np.arctan(mrps[:, 2]) for _, mrps in requests]
+                return [landscape(kind, theta).tolist() for theta in thetas]
+
+            results.append(_drive(_lockstep([search(centred, config, list(extra))]), answer)[0])
+            probes.append(seen)
+        (got_rot, got_var, got_ok), (want_rot, want_var, want_ok) = results
+        assert probes[0] == probes[1]
+        assert got_rot.mrp.tobytes() == want_rot.mrp.tobytes()
+        assert (got_var, got_ok) == (want_var, want_ok)
+        assert type(got_var) is float
 
 
 class TestNelderMead:

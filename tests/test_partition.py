@@ -18,7 +18,8 @@ from entropart import (
     partition_from_dict,
     partition_to_dict,
 )
-from entropart.partition import _split_rows, leaf_boxes
+from entropart import partition
+from entropart.partition import Workspace, _split_rows, box_volumes, leaf_boxes
 
 
 def assert_split_rows_match_stable_sort(values, idx):
@@ -100,6 +101,22 @@ class TestLeafBoxes:
         finally:
             tracemalloc.stop()
         assert peak <= 2.9 * samples.data.nbytes
+
+    def test_warm_kernel_call_allocates_no_index_matrix(self):
+        # a search's kernel call on a warm workspace: the level buffers are
+        # there, so only small per-level arrays are new; building the first
+        # index matrix through a temporary of its own size pushes the peak past it
+        a, n = 32, 512
+        points = np.random.default_rng(3).normal(size=(a, 2, n))
+        workspace = Workspace()
+        leaf_boxes(points, 2, (0, 1), workspace)
+        tracemalloc.start()
+        try:
+            leaf_boxes(points, 2, (0, 1), workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a * n * np.dtype(np.intp).itemsize
 
 
 class TestMedianSplit:
@@ -204,6 +221,23 @@ class TestMedianSplit:
         # order statistic at position k
         values = np.random.default_rng(seed).normal(size=m)
         assert_split_rows_match_stable_sort(values, np.arange(m).reshape(1, m))
+
+
+@pytest.fixture(params=[0, np.iinfo(np.intp).max], ids=["every-row-selected", "every-row-sorted"])
+def split_path(request, monkeypatch):
+    monkeypatch.setattr(partition, "SORTED_ROW_MAX", request.param)
+
+
+@pytest.mark.usefixtures("split_path")
+class TestLeafBoxesOnEachSplitPath(TestLeafBoxes):
+    """The kernel's oracles, its rows of every length (pads, ties and signed
+    zeros included) all selected, then all sorted."""
+
+
+@pytest.mark.usefixtures("split_path")
+class TestMedianSplitOnEachSplitPath(TestMedianSplit):
+    """The median split's oracles, m = 255, 256 and 257 included, with every
+    row selected, then with every row sorted."""
 
 
 class TestBuildEquiprobable:
@@ -366,6 +400,18 @@ class TestBinVolumes:
         s = SampleSet([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         p = build_equiprobable(s, 1)
         assert np.array_equal(bin_volumes(p), bin_volumes(p, normalize=True))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_volumes_are_numpy_products_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        lower = rng.normal(size=(7, 16, d)) * 10.0 ** rng.integers(-5, 6, size=(7, 16, d))
+        upper = lower + rng.random(size=lower.shape)
+        assert box_volumes(lower, upper).tobytes() == (upper - lower).prod(axis=-1).tobytes()
+
+    def test_zero_dimensional_document_has_the_empty_product_volume(self):
+        doc = {"support": {"lower": [], "upper": []}, "depth": 0, "dims": 0, "cycle_order": []}
+        doc["bins"] = [{"lower": [], "upper": [], "count": 5, "volume": 1.0}]
+        assert bin_volumes(partition_from_dict(doc)).tolist() == [1.0]
 
     def test_zero_volume_normalization_rejected(self):
         s = SampleSet([[0.0, 1.0], [0.0, 2.0]])
