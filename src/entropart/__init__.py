@@ -32,13 +32,11 @@ from .estimators import (
     winsorise,
 )
 from .geometry import (
-    BoundingBox,
     Rotation,
     SampleSet,
     mrp_from_angle_2d,
     normalize_angle,
     rotate,
-    rotation_matrix,
 )
 from .optimizer import (
     ObjectiveEvaluation,
@@ -59,7 +57,6 @@ from .partition import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox",
     "CovarianceSpec",
     "DegeneratePartitionError",
     "EntropyEstimate",
@@ -89,7 +86,6 @@ __all__ = [
     "partition_to_dict",
     "random_covariance",
     "rotate",
-    "rotation_matrix",
     "run_study",
     "sample_gaussian",
     "study_to_csv",

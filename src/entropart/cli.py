@@ -208,8 +208,11 @@ def _cmd_benchmark(args) -> int:
     else:
         payload = json.dumps(study_to_json_dict(study), indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
     return 0

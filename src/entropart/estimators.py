@@ -33,6 +33,8 @@ METHOD_EQUIPROBABLE = "equiprobable"
 METHOD_ROTATED = "rotated_equiprobable"
 METHOD_ENSEMBLE = "ensemble"
 
+_UNDERFLOW = "bin volumes underflow float64; rescale the samples"
+
 
 @dataclass(frozen=True)
 class EntropyEstimate:
@@ -56,7 +58,9 @@ def entropy_histogram(counts, volumes, n_total: int) -> float:
     """Plug-in entropy of a histogram from per-bin counts and volumes.
 
     Empty bins contribute zero (0*log 0 = 0); occupied bins of zero volume
-    are excluded from the sum so the estimate stays finite.
+    are excluded from the sum so the estimate stays finite.  A positive volume
+    so small that its density ``n_i / (N * v_i)`` overflows raises
+    :class:`DegeneratePartitionError`.
     """
     counts = np.asarray(counts, dtype=float).ravel()
     volumes = np.asarray(volumes, dtype=float).ravel()
@@ -75,7 +79,11 @@ def entropy_histogram(counts, volumes, n_total: int) -> float:
     if not mask.any():
         return 0.0
     p = counts[mask] / n_total
-    return float(-np.sum(p * np.log2(p / volumes[mask])))
+    with np.errstate(over="ignore"):  # raised below, by name
+        densities = p / volumes[mask]
+    if not np.isfinite(densities).all():
+        raise DegeneratePartitionError(_UNDERFLOW)
+    return float(-np.sum(p * np.log2(densities)))
 
 
 def entropy_equiprobable(partition: Partition) -> float:
@@ -108,19 +116,22 @@ def entropy_equiprobable_estimate(
 
 
 def entropy_naive(samples: SampleSet, bins_per_dim: int) -> EntropyEstimate:
-    """Entropy from an equal-width grid of ``bins_per_dim**d`` cells over the bounding box."""
+    """Entropy from an equal-width grid of ``bins_per_dim**d`` cells.
+
+    The grid spans the samples' bounding box, from ``data.min(axis=0)`` to
+    ``data.max(axis=0)``; a cell volume that overflows or underflows float64
+    raises :class:`DegeneratePartitionError`.
+    """
     require_int(1, bins_per_dim=bins_per_dim)
     k = int(bins_per_dim)
-    bb = samples.bounding_box
+    lower, upper = samples.data.min(axis=0), samples.data.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by name
-        widths = bb.widths
+        widths = upper - lower
         cell_volume = float(np.prod(widths / k))
     if np.any(widths == 0.0):
         raise PreconditionError("zero-width support dimension; equal-width cells are degenerate")
-    require_finite_volumes(cell_volume)
-    counts, _ = np.histogramdd(
-        samples.data, bins=k, range=[(lo, hi) for lo, hi in zip(bb.lower, bb.upper)]
-    )
+    _require_representable(cell_volume)
+    counts, _ = np.histogramdd(samples.data, bins=k, range=list(zip(lower, upper)))
     total = k**samples.d
     value = entropy_histogram(counts.ravel(), np.full(total, cell_volume), samples.n)
     return EntropyEstimate(value=value, method=METHOD_NAIVE, depth=k, bin_count=total)
@@ -139,8 +150,8 @@ def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> Ent
     n, d = samples.n, samples.d
     if n < k:
         raise PreconditionError(f"N={n} < bins_per_dim={k}; too few samples to quantise")
-    bb = samples.bounding_box
-    if np.any(bb.widths == 0.0):
+    lower, upper = samples.data.min(axis=0), samples.data.max(axis=0)
+    if np.any(upper - lower == 0.0):
         raise PreconditionError("zero-width support dimension; quantile slabs are degenerate")
 
     edges_per_dim = []
@@ -150,10 +161,10 @@ def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> Ent
             srt = np.sort(samples.data[:, dim])
             ranks = -(-n * np.arange(1, k) // k)  # ceil(n*j/k), j = 1..k-1
             cuts = 0.5 * (srt[ranks - 1] + srt[ranks])
-            edges = np.unique(np.concatenate(([bb.lower[dim]], cuts, [bb.upper[dim]])))
+            edges = np.unique(np.concatenate(([lower[dim]], cuts, [upper[dim]])))
             edges_per_dim.append(edges)
             volumes = np.multiply.outer(volumes, np.diff(edges))
-    require_finite_volumes(volumes)
+    _require_representable(volumes)
 
     counts, _ = np.histogramdd(samples.data, bins=edges_per_dim)
     volumes = volumes.reshape(counts.shape)
@@ -167,6 +178,13 @@ def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> Ent
         bin_count=k**d,
         degenerate_bins=k**d - actual,
     )
+
+
+def _require_representable(volumes) -> None:
+    """Raise by name where grid cells, every one of positive width, over- or underflowed float64."""
+    require_finite_volumes(volumes)
+    if np.any(volumes == 0.0):
+        raise DegeneratePartitionError(_UNDERFLOW)
 
 
 def winsorise(samples: SampleSet, k_sigma: float = 3.0) -> SampleSet:

@@ -24,40 +24,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned closed box given by per-dimension lower/upper bounds."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = _readonly(self.lower)
-        upper = _readonly(self.upper)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise PreconditionError("bounding box bounds must be 1-D vectors of equal length")
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise PreconditionError("bounding box bounds must be finite")
-        if np.any(lower > upper):
-            raise PreconditionError("bounding box requires lower <= upper in every dimension")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.widths))
-
-
 class SampleSet:
-    """An immutable n-by-d matrix of observations with cached summary geometry.
+    """An immutable n-by-d matrix of observations and its barycentre.
 
-    The barycentre (per-dimension mean) and tight closed bounding box are
-    computed once at construction.  Rows must be finite; a 1-D input is
-    treated as a single-feature sample.
+    The barycentre (per-dimension mean) is computed once at construction;
+    bounds are reduced from ``data`` where they are used.  Rows must be
+    finite; a 1-D input is treated as a single-feature sample.
     """
 
     def __init__(self, data):
@@ -86,7 +58,6 @@ class SampleSet:
         arr.setflags(write=False)
         self._data = arr
         self._barycentre = _readonly(barycentre)
-        self._bbox = BoundingBox(arr.min(axis=0), arr.max(axis=0))
 
     @property
     def data(self) -> np.ndarray:
@@ -103,10 +74,6 @@ class SampleSet:
     @property
     def barycentre(self) -> np.ndarray:
         return self._barycentre
-
-    @property
-    def bounding_box(self) -> BoundingBox:
-        return self._bbox
 
     def __repr__(self):
         return f"SampleSet(n={self.n}, d={self.d})"
@@ -183,11 +150,6 @@ def rotation_matrices(mrps, d: int) -> np.ndarray:
     raise PreconditionError(f"rotation matrices are supported for d in {{2, 3}}, got d={d}")
 
 
-def rotation_matrix(rot: Rotation, d: int) -> np.ndarray:
-    """The d-by-d matrix of ``rot``: :func:`rotation_matrices` of its MRP."""
-    return rotation_matrices(rot.mrp[None], d)[0]
-
-
 def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:
     """Rotate samples about their barycentre, leaving them centred at the origin.
 
@@ -199,4 +161,4 @@ def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:
     if samples.d == 1:
         # nothing to rotate in one dimension; centring is the whole operation
         return SampleSet._adopt(centred)
-    return SampleSet._adopt(centred @ rotation_matrix(rot, samples.d).T)
+    return SampleSet._adopt(centred @ rotation_matrices(rot.mrp[None], samples.d)[0].T)

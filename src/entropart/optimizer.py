@@ -96,7 +96,7 @@ def volume_variance(
 ) -> ObjectiveEvaluation:
     """Rotate, partition, and return the population variance of normalized volumes."""
     partition = build_equiprobable(rotate(samples, rot), depth, cycle_order)
-    variance = float(np.var(box_volumes(partition.lower, partition.upper, normalize=True)))
+    variance = float(_row_variances(box_volumes(partition.lower, partition.upper, normalize=True)))
     return ObjectiveEvaluation(rotation=rot, variance=variance, partition=partition)
 
 
@@ -204,10 +204,15 @@ def _variances(requests, depth, order, workspace) -> list[list]:
             if i < j:
                 np.matmul(matrices[i:j], centred.T, out=points[i - start : j - start])
         lower, upper, _ = leaf_boxes(points, depth, order, workspace)
-        volumes = box_volumes(lower, upper, normalize=True)  # then np.var's ufuncs, unwrapped
-        dev = volumes - np.add.reduce(volumes, axis=1, keepdims=True) / volumes.shape[1]
-        variances.extend((np.add.reduce(dev * dev, axis=1) / volumes.shape[1]).tolist())
+        variances.extend(_row_variances(box_volumes(lower, upper, normalize=True)).tolist())
     return [variances[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+def _row_variances(volumes: np.ndarray) -> np.ndarray:
+    """Population variance over the last axis: numpy's variance ufuncs, without its wrappers."""
+    b = volumes.shape[-1]
+    dev = volumes - np.add.reduce(volumes, axis=-1, keepdims=True) / b
+    return np.add.reduce(dev * dev, axis=-1) / b
 
 
 def _canonical_angles(thetas) -> np.ndarray:

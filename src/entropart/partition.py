@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePartitionError, PreconditionError, require_int
-from .geometry import BoundingBox, SampleSet
+from .geometry import SampleSet
 
 # beyond this depth bivariate bins hold too few samples to be informative
 MAX_RECOMMENDED_BIVARIATE_DEPTH = 4
@@ -32,7 +32,8 @@ class Partition:
     """A complete depth-``s`` binary tree over ``d`` dimensions, kept as its leaves.
 
     Leaf ``i`` is the box ``lower[i]``..``upper[i]`` holding ``counts[i]``
-    samples; every split lists its left child before its right.
+    samples; every split lists its left child before its right.  ``support``
+    is the (2, d) array of the root box's lower and upper corners.
     """
 
     lower: np.ndarray
@@ -41,7 +42,7 @@ class Partition:
     depth: int
     dims: int
     cycle_order: tuple[int, ...]
-    support: BoundingBox
+    support: np.ndarray
 
     @property
     def bin_count(self) -> int:
@@ -221,7 +222,8 @@ def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Part
             stacklevel=2,
         )
     lower, upper, counts = leaf_boxes(np.ascontiguousarray(samples.data.T)[None], depth, order)
-    return Partition(lower[0], upper[0], counts, depth, samples.d, order, samples.bounding_box)
+    support = np.array([samples.data.min(axis=0), samples.data.max(axis=0)])
+    return Partition(lower[0], upper[0], counts, depth, samples.d, order, support)
 
 
 def bin_volumes(partition: Partition, normalize: bool = False) -> np.ndarray:
@@ -257,10 +259,7 @@ def require_finite_volumes(volumes) -> None:
 def partition_to_dict(partition: Partition) -> dict:
     """Plain-data representation of a partition for JSON export."""
     return {
-        "support": {
-            "lower": partition.support.lower.tolist(),
-            "upper": partition.support.upper.tolist(),
-        },
+        "support": {"lower": partition.support[0].tolist(), "upper": partition.support[1].tolist()},
         "depth": partition.depth,
         "dims": partition.dims,
         "cycle_order": list(partition.cycle_order),
@@ -282,12 +281,12 @@ def partition_from_dict(doc: dict) -> Partition:
     Raises :class:`PreconditionError` for every malformed document: a count,
     ``depth`` or ``dims`` that is not a non-negative integer, a bin count other
     than ``2**(depth*dims)``, a ``cycle_order`` that is not a permutation of
-    ``0..dims-1``, bounds that are not ``dims`` wide or are ragged, inverted or
-    non-finite, and a stored volume that is not exactly the product of its
-    bin's widths.
+    ``0..dims-1``, bin or support bounds that are not ``dims`` wide or are
+    ragged, inverted or non-finite, and a stored volume that is not exactly
+    the product of its bin's widths.
     """
     try:
-        support = BoundingBox(np.array(doc["support"]["lower"]), np.array(doc["support"]["upper"]))
+        support = np.array([doc["support"]["lower"], doc["support"]["upper"]], dtype=float)
         bins = doc["bins"]
         lower = np.array([b["lower"] for b in bins], dtype=float)
         upper = np.array([b["upper"] for b in bins], dtype=float)
@@ -307,10 +306,11 @@ def partition_from_dict(doc: dict) -> Partition:
     if (
         lower.shape != (len(bins), dims)
         or upper.shape != lower.shape
-        or support.lower.shape != (dims,)
         or not np.all(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper))
     ):
         raise PreconditionError("malformed partition document: bad bin bounds")
+    if support.shape != (2, dims) or not np.all(np.isfinite(support) & (support[0] <= support[1])):
+        raise PreconditionError("malformed partition document: bad support")
     partition = Partition(lower, upper, counts, depth, dims, order, support)
     if not np.array_equal(volumes, bin_volumes(partition)):
         raise PreconditionError("malformed partition document: volume is not the product of widths")

@@ -209,9 +209,10 @@ def test_criterion_9_partition_structural_suite():
             s = SampleSet(rng.normal(size=(n, d)) * rng.uniform(0.5, 5.0, d))
             p = build_equiprobable(s, depth)
             assert p.bin_count == 2 ** (depth * d)
-            assert bin_volumes(p).sum() == pytest.approx(p.support.volume, rel=1e-9)
+            support_volume = np.prod(p.support[1] - p.support[0])
+            assert bin_volumes(p).sum() == pytest.approx(support_volume, rel=1e-9)
             assert p.counts.max() - p.counts.min() <= d * depth
-            recounted = recount_by_membership(s.data, p.lower, p.upper, p.support.upper)
+            recounted = recount_by_membership(s.data, p.lower, p.upper, p.support[1])
             assert recounted == p.counts.tolist()
             checks += 1
     assert report(9, "partition structural suite", True, f"{checks} (d, s) configurations")

@@ -327,6 +327,14 @@ class TestBenchmarkCommand:
         if jsonschema is not None:
             jsonschema.validate(doc, load_schema("study.schema.json"))
 
+    def test_unwritable_output_is_one_usage_line(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "out.csv"
+        argv = ["benchmark", "--n", "32", "--bins", "4", "--trials", "2", "--seed", "7"]
+        code = main(argv + ["--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: usage: cannot write {out}: No such file or directory\n"
+
     def test_invalid_bin_count_mentions_constraint(self, capsys):
         code = main(["benchmark", "--n", "32", "--bins", "8", "--trials", "2", "--seed", "1"])
         err = capsys.readouterr().err
@@ -368,6 +376,13 @@ class TestDumpPartitionCommand:
         )
         assert recounted == [b["count"] for b in doc["bins"]]
 
+    def test_support_keeps_a_signed_zero_minimum(self, capsys, tmp_path):
+        # column 0's minimum is -0.0 and column 1's is 0.0; neither column holds the other zero
+        rows = [[-0.0, 1.0], [1.0, 0.0], [2.0, 3.0], [3.0, 2.0]]
+        path = write_csv(tmp_path / "signed_zero.csv", rows)
+        doc = run_json(capsys, ["dump-partition", "--input", path, "--depth", "1"])
+        assert json.dumps(doc["support"]) == '{"lower": [-0.0, 0.0], "upper": [3.0, 3.0]}'
+
     def test_rotated_dump_matches_estimate(self, capsys, fig2_csv):
         dump = run_json(
             capsys, ["dump-partition", "--input", fig2_csv, "--depth", "1", "--rotate"]
@@ -398,6 +413,19 @@ def test_overflowing_volumes_exit_3_with_one_line(capsys, huge_csv, argv, messag
     assert code == 3 and captured.out == ""
     assert captured.err.startswith(f"error: precondition: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-170])
+@pytest.mark.parametrize("method", ["naive", "marginal"])
+def test_underflowing_volumes_exit_3_with_one_line(capsys, tmp_path, method, scale):
+    # not "-Infinity" (subnormal cells, whose densities overflow) and not 0.0
+    # (cells of zero volume, every one dropped from the sum)
+    rows = np.random.default_rng(0).normal(size=(1000, 2)) * scale
+    path = write_csv(tmp_path / "tiny.csv", rows.tolist())
+    code = main(["estimate", "--method", method, "--bins-per-dim", "4", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: precondition: bin volumes underflow float64; rescale the samples\n"
 
 
 def test_overflowing_mean_exits_3_without_a_second_parse(capsys, tmp_path, monkeypatch):

@@ -23,11 +23,11 @@ from entropart import (
     normalize_angle,
     optimise_rotation,
     random_covariance,
-    rotation_matrix,
     sample_gaussian,
     theoretical_entropy,
     volume_variance,
 )
+from entropart.geometry import rotation_matrices
 
 SEEDS = (0, 1, 2)
 # the 4 x 1 rectangle holds 2 bits; the 4 x 1 x 0.25 box 0 bits
@@ -50,7 +50,7 @@ def rotated_box(d, seed):
         mrp = q[1:] / (1.0 + q[0])
     half = np.array(HALF_WIDTHS[d])
     box = rng.uniform(-1.0, 1.0, (SIZES[d], d)) * half
-    samples = SampleSet(box @ rotation_matrix(Rotation(mrp), d).T)
+    samples = SampleSet(box @ rotation_matrices(Rotation(mrp).mrp[None], d)[0].T)
     return samples, mrp, float(np.sum(np.log2(2.0 * half)))
 
 

@@ -46,6 +46,12 @@ class TestEntropyHistogram:
         value = entropy_histogram([2, 2], [0.5, 0.0], 4)
         assert np.isfinite(value)
 
+    def test_overflowing_density_rejected_by_name(self):
+        # a subnormal volume whose density n/(N*v) is past float64; RuntimeWarnings
+        # are errors here, so the overflow is also silent
+        with pytest.raises(DegeneratePartitionError, match="bin volumes underflow float64"):
+            entropy_histogram([2, 2], [0.5, 1e-320], 4)
+
     def test_length_mismatch(self):
         with pytest.raises(PreconditionError):
             entropy_histogram([1, 2], [0.5], 3)
@@ -134,7 +140,8 @@ class TestEntropyNaive:
         rng = np.random.default_rng(51)
         s = SampleSet(rng.uniform(size=(30, 2)) * [2.0, 3.0])
         est = entropy_naive(s, 1)
-        assert est.value == pytest.approx(np.log2(s.bounding_box.volume), abs=1e-12)
+        volume = np.prod(s.data.max(axis=0) - s.data.min(axis=0))
+        assert est.value == pytest.approx(np.log2(volume), abs=1e-12)
 
     def test_unit_square_corners(self):
         est = entropy_naive(SampleSet(UNIT_SQUARE_CORNERS), 2)
@@ -148,7 +155,7 @@ class TestEntropyNaive:
         est = entropy_naive(s, k)
 
         # independent gridding: explicit cell enumeration with point filtering
-        lo, hi = s.bounding_box.lower, s.bounding_box.upper
+        lo, hi = s.data.min(axis=0), s.data.max(axis=0)
         width = (hi - lo) / k
         total = 0.0
         for i in range(k):
@@ -212,6 +219,16 @@ def test_grid_rejects_bad_bins_per_dim_by_name(estimator, bins_per_dim):
         estimator(SampleSet(UNIT_SQUARE_CORNERS), bins_per_dim)
 
 
+@pytest.mark.parametrize("estimator", [entropy_naive, entropy_marginal_equiquantised])
+@pytest.mark.parametrize("scale", [1e-160, 1e-170])
+def test_grid_rejects_underflowing_volumes_by_name(estimator, scale):
+    # cells near 1e-320 are subnormal and their densities overflow (a -inf estimate
+    # before); cells near 1e-340 are zero, and dropping them all gave 0.0
+    s = SampleSet(np.random.default_rng(0).normal(size=(1000, 2)) * scale)
+    with pytest.raises(DegeneratePartitionError, match="bin volumes underflow float64"):
+        estimator(s, 4)
+
+
 class TestWinsorise:
     def test_no_outliers_unchanged(self):
         rng = np.random.default_rng(54)
@@ -232,7 +249,7 @@ class TestWinsorise:
         rng = np.random.default_rng(55)
         s = SampleSet(rng.standard_cauchy(size=(200, 2)))
         out = winsorise(s, 3.0)
-        assert out.bounding_box.volume <= s.bounding_box.volume
+        assert np.prod(np.ptp(out.data, axis=0)) <= np.prod(np.ptp(s.data, axis=0))
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(PreconditionError):

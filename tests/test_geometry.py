@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from entropart import (
-    BoundingBox,
     PreconditionError,
     Rotation,
     SampleSet,
     mrp_from_angle_2d,
     normalize_angle,
     rotate,
-    rotation_matrix,
 )
 from entropart.geometry import rotation_matrices
 
@@ -30,12 +28,6 @@ class TestSampleSet:
         rng = np.random.default_rng(0)
         s = SampleSet(rng.normal(size=(100, 3)))
         assert np.allclose(s.barycentre, s.data.mean(axis=0), atol=1e-12)
-
-    def test_bounding_box_contains_all_samples(self):
-        rng = np.random.default_rng(1)
-        s = SampleSet(rng.normal(size=(50, 2)))
-        box = s.bounding_box
-        assert ((s.data >= box.lower) & (s.data <= box.upper)).all()
 
     def test_one_dimensional_input_reshaped(self):
         s = SampleSet([1.0, 2.0, 3.0])
@@ -65,16 +57,6 @@ class TestSampleSet:
         data[0, 0], data[2, 1] = 100.0, -100.0
         assert s.data.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
         assert data.flags.writeable
-
-
-class TestBoundingBox:
-    def test_orders_bounds(self):
-        with pytest.raises(PreconditionError):
-            BoundingBox(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-    def test_volume(self):
-        bb = BoundingBox(np.array([0.0, -1.0]), np.array([2.0, 1.0]))
-        assert bb.volume == pytest.approx(4.0)
 
 
 class TestMrpFromAngle:
@@ -110,18 +92,18 @@ class TestMrpFromAngle:
 
 class TestRotationMatrix:
     def test_identity(self):
-        m = rotation_matrix(Rotation.identity(), 2)
+        m = rotation_matrices(Rotation.identity().mrp[None], 2)[0]
         assert np.allclose(m, np.eye(2), atol=1e-15)
 
     def test_quarter_turn_2d(self):
-        m = rotation_matrix(mrp_from_angle_2d(np.pi / 2.0), 2)
+        m = rotation_matrices(mrp_from_angle_2d(np.pi / 2.0).mrp[None], 2)[0]
         assert np.allclose(m, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_random_mrp_orthogonal_unit_determinant(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             rot = Rotation(rng.normal(scale=2.0, size=3))
-            m = rotation_matrix(rot, 3)
+            m = rotation_matrices(rot.mrp[None], 3)[0]
             assert np.allclose(m @ m.T, np.eye(3), atol=1e-10)
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
 
@@ -129,8 +111,8 @@ class TestRotationMatrix:
         # a negative z turns clockwise in both, so the 2-D angle keeps the sign of z
         z_only = [Rotation([0.0, 0.0, z]) for z in (-2.0, -0.3, 0.3, 2.0)]
         for rot in [mrp_from_angle_2d(1.234)] + z_only:
-            m3 = rotation_matrix(rot, 3)
-            m2 = rotation_matrix(rot, 2)
+            m3 = rotation_matrices(rot.mrp[None], 3)[0]
+            m2 = rotation_matrices(rot.mrp[None], 2)[0]
             assert np.allclose(m3[:2, :2], m2, atol=1e-12)
             assert m3[2, 2] == pytest.approx(1.0, abs=1e-12)
 
@@ -152,12 +134,12 @@ class TestRotationMatrix:
 
     def test_2d_rejects_tilted_mrp(self):
         with pytest.raises(PreconditionError):
-            rotation_matrix(Rotation(np.array([0.1, 0.0, 0.3])), 2)
+            rotation_matrices(Rotation(np.array([0.1, 0.0, 0.3])).mrp[None], 2)[0]
 
     @pytest.mark.parametrize("d", [1, 4])
     def test_unsupported_dimension(self, d):
         with pytest.raises(PreconditionError):
-            rotation_matrix(Rotation.identity(), d)
+            rotation_matrices(Rotation.identity().mrp[None], d)[0]
 
 
 class TestRotate:

@@ -256,7 +256,7 @@ class TestBuildEquiprobable:
         p = build_equiprobable(s, depth)
         assert p.bin_count == 2 ** (depth * d)
         total = bin_volumes(p).sum()
-        assert total == pytest.approx(p.support.volume, rel=1e-9)
+        assert total == pytest.approx(np.prod(p.support[1] - p.support[0]), rel=1e-9)
 
     def test_exact_multiple_counts_equal(self):
         rng = np.random.default_rng(42)
@@ -278,7 +278,7 @@ class TestBuildEquiprobable:
         rng = np.random.default_rng(13 * d + depth)
         s = SampleSet(rng.normal(size=(2 ** (depth * d) * 3 + 1, d)))
         p = build_equiprobable(s, depth)
-        recounted = recount_by_membership(s.data, p.lower, p.upper, p.support.upper)
+        recounted = recount_by_membership(s.data, p.lower, p.upper, p.support[1])
         assert recounted == p.counts.tolist()
 
     def test_affine_equivariance(self):
@@ -316,14 +316,15 @@ class TestBuildEquiprobable:
 
         def bin_containing(point):
             for i, (lower, upper) in enumerate(zip(p.lower, p.upper)):
-                upper_ok = np.where(upper == p.support.upper, point <= upper, point < upper)
+                upper_ok = np.where(upper == p.support[1], point <= upper, point < upper)
                 if np.all(point >= lower) and np.all(upper_ok):
                     return i
             raise AssertionError("no bin contains the point")
 
         volumes = bin_volumes(p)
-        top_left = bin_containing(np.array([p.support.lower[0], p.support.upper[1]]))
-        top_right = bin_containing(np.array([p.support.upper[0], p.support.upper[1]]))
+        (x_min, _), (x_max, y_max) = p.support
+        top_left = bin_containing(np.array([x_min, y_max]))
+        top_right = bin_containing(np.array([x_max, y_max]))
         centre = bin_containing(s.barycentre)
         assert volumes[top_left] > volumes[centre]
         assert volumes[top_right] > volumes[centre]
@@ -446,8 +447,7 @@ class TestSerialization:
         assert q.depth == p.depth
         assert q.dims == p.dims
         assert q.cycle_order == p.cycle_order
-        assert np.array_equal(q.support.lower, p.support.lower)
-        assert np.array_equal(q.support.upper, p.support.upper)
+        assert np.array_equal(q.support, p.support)
         assert np.array_equal(q.counts, p.counts)
         assert np.array_equal(bin_volumes(q), bin_volumes(p))
         assert np.array_equal(q.lower, p.lower)
@@ -477,6 +477,12 @@ class TestSerialization:
             "fractional dims",
             "negative dims",
             "bounds not dims wide",
+            "inverted support",
+            "inf in support",
+            "NaN in support",
+            "support not dims wide",
+            "support lower and upper of different lengths",
+            "ragged support",
             "repeated cycle_order entry",
             "depth whose bin count has over 4300 digits",
         ]
@@ -489,7 +495,7 @@ class TestSerialization:
     def test_malformed_bins_rejected(self, case):
         p = build_equiprobable(SampleSet(np.random.default_rng(41).normal(size=(32, 2))), 1)
         doc = json.loads(json.dumps(partition_to_dict(p)))
-        b = doc["bins"][0]
+        b, support = doc["bins"][0], doc["support"]
         match = "malformed partition document"
         if case == "non-numeric count":
             b["count"] = "eight"
@@ -526,6 +532,18 @@ class TestSerialization:
             doc["dims"] = -2
         elif case == "bounds not dims wide":  # 4 bins of depth 2 in one dimension
             doc["depth"], doc["dims"], doc["cycle_order"] = 2, 1, [0]
+        elif case == "inverted support":
+            support["lower"], support["upper"] = support["upper"], support["lower"]
+        elif case == "inf in support":
+            support["upper"][1] = math.inf
+        elif case == "NaN in support":
+            support["lower"][0] = math.nan
+        elif case == "support not dims wide":
+            support["lower"], support["upper"] = support["lower"] + [0.0], support["upper"] + [1.0]
+        elif case == "support lower and upper of different lengths":
+            support["upper"] = support["upper"][:1]
+        elif case == "ragged support":
+            support["lower"] = [support["lower"][0], [support["lower"][1]]]
         elif case == "repeated cycle_order entry":
             doc["cycle_order"] = [0, 0]
         elif case == "depth whose bin count has over 4300 digits":
