@@ -263,9 +263,9 @@ def study_to_csv(study: StudyResult) -> str:
     return f"{STUDY_CSV_HEADER}\n{row}\n"
 
 
-def study_to_json_dict(study: StudyResult, include_trials: bool = True) -> dict:
-    """JSON-ready report; optionally includes the per-trial records."""
-    doc = {
+def study_to_json_dict(study: StudyResult) -> dict:
+    """JSON-ready report, the per-trial records included."""
+    return {
         "n": study.n,
         "bins": study.bins,
         "trials": study.trials,
@@ -273,9 +273,7 @@ def study_to_json_dict(study: StudyResult, include_trials: bool = True) -> dict:
         "failures": study.failures,
         "mse": {m: study.mse[m] for m in STUDY_METHODS},
         "ci_lower_99": study.ci_lower,
-    }
-    if include_trials:
-        doc["trial_results"] = [
+        "trial_results": [
             {
                 "covariance": t.covariance.sigma.tolist(),
                 "theoretical_bits": t.theoretical,
@@ -283,5 +281,5 @@ def study_to_json_dict(study: StudyResult, include_trials: bool = True) -> dict:
                 "abs_pct_error": {m: t.abs_pct_error[m] for m in STUDY_METHODS},
             }
             for t in study.trial_results
-        ]
-    return doc
+        ],
+    }

@@ -38,7 +38,7 @@ METHODS = {
     "naive": (entropy_naive, "--bins-per-dim"),
     "marginal": (entropy_marginal_equiquantised, "--bins-per-dim"),
     "equiprobable": (entropy_equiprobable_estimate, "--depth", "--cycle-order"),
-    "rotated": (lambda s, depth, order: entropy_rotated(s, depth, cycle_order=order), "--depth", "--cycle-order"),
+    "rotated": (entropy_rotated, "--depth", "--cycle-order"),
     "ensemble": (ensemble_estimate, "--depth"),
 }
 

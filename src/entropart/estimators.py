@@ -90,12 +90,16 @@ def entropy_equiprobable(partition: Partition) -> float:
     """Volume-product entropy of an equiprobable partition, in bits.
 
     Computed as ``2**-(s*d) * sum(log2 v_i) + s*d`` for numerical stability
-    instead of taking the log of the full volume product.
+    instead of taking the log of the full volume product.  Zero-volume bins
+    raise, named an underflow where all their widths are positive.
     """
     vols = bin_volumes(partition)
-    if np.any(vols <= 0.0):
+    zero = vols <= 0.0
+    if zero.any():
+        if (partition.upper > partition.lower)[zero].all():  # every width positive: underflow
+            raise DegeneratePartitionError(_UNDERFLOW)
         raise DegeneratePartitionError(
-            f"{int(np.count_nonzero(vols <= 0.0))} zero-volume bins; "
+            f"{int(np.count_nonzero(zero))} zero-volume bins; "
             "the volume-product estimator is undefined (consider entropy_histogram)"
         )
     sd = partition.depth * partition.dims
@@ -196,14 +200,10 @@ def winsorise(samples: SampleSet, k_sigma: float = 3.0) -> SampleSet:
     return SampleSet._adopt(np.clip(samples.data, mean - k_sigma * std, mean + k_sigma * std))
 
 
-def ensemble_estimate(samples: SampleSet, depth: int, orders=None) -> EntropyEstimate:
-    """Mean equiprobable entropy over partitions built with several cycle orders."""
+def ensemble_estimate(samples: SampleSet, depth: int) -> EntropyEstimate:
+    """Mean equiprobable entropy over the partitions built with every cyclic shift of 0..d-1."""
     d = samples.d
-    if orders is None:  # every cyclic shift of 0, 1, ..., d-1
-        orders = [[(i + j) % d for j in range(d)] for i in range(d)]
-    orders = [tuple(o) for o in orders]
-    if not orders:
-        raise PreconditionError("ensemble requires at least one cycle order")
+    orders = [[(i + j) % d for j in range(d)] for i in range(d)]
     values = [entropy_equiprobable(build_equiprobable(samples, depth, o)) for o in orders]
     return EntropyEstimate(
         value=float(np.mean(values)),

@@ -9,11 +9,11 @@ reproduces the usual counterclockwise rotation matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DegeneratePartitionError, PreconditionError
 
 TWO_PI = 2.0 * np.pi
 
@@ -83,7 +83,7 @@ class SampleSet:
 class Rotation:
     """A rotation encoded as an MRP 3-vector; magnitude is tan(angle/4)."""
 
-    mrp: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    mrp: np.ndarray
 
     def __post_init__(self):
         mrp = _readonly(self.mrp)
@@ -153,12 +153,20 @@ def rotation_matrices(mrps, d: int) -> np.ndarray:
 def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:
     """Rotate samples about their barycentre, leaving them centred at the origin.
 
-    The output frame is not translated back: bin volumes and entropy are
-    translation-invariant, so keeping the rotated cloud centred simplifies
-    composition of successive rotations.
+    The frame is not translated back, as bin volumes and entropy are
+    translation-invariant; centring that overflows float64 raises by name.
     """
-    centred = samples.data - samples.barycentre
+    centred = centre(samples)
     if samples.d == 1:
         # nothing to rotate in one dimension; centring is the whole operation
         return SampleSet._adopt(centred)
     return SampleSet._adopt(centred @ rotation_matrices(rot.mrp[None], samples.d)[0].T)
+
+
+def centre(samples: SampleSet) -> np.ndarray:
+    """``samples.data`` less its barycentre; raises by name where that overflows float64."""
+    with np.errstate(over="ignore"):  # raised below, by name
+        centred = samples.data - samples.barycentre
+    if not np.isfinite(centred).all():
+        raise DegeneratePartitionError("centred samples overflow float64; rescale the samples")
+    return centred

@@ -27,12 +27,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegeneratePartitionError, PreconditionError, require_int
+from .errors import PreconditionError, require_int
 from .estimators import METHOD_ROTATED, EntropyEstimate, entropy_equiprobable
 from .geometry import (
     TWO_PI,
     Rotation,
     SampleSet,
+    centre,
     mrp_from_angle_2d,
     normalize_angle,
     rotate,
@@ -53,6 +54,9 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # max(1, BATCH_SAMPLES // N) angles, which bounds its memory at any N
 BATCH_SAMPLES = 2**14
 
+# a local run (golden-section, or Nelder-Mead as its fatol) stops when its variances agree this far
+TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -70,15 +74,12 @@ class OptimizerConfig:
 
     starts: int = 16
     max_iterations: int = 96
-    tolerance: float = 1e-10
     eigenvector_start: bool = True
     scan_points: int = 1024
 
     def __post_init__(self):
         counts = {name: getattr(self, name) for name in ("starts", "max_iterations", "scan_points")}
         require_int(1, **counts)
-        if not self.tolerance > 0:  # also rejects NaN
-            raise PreconditionError(f"tolerance must be positive, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,7 @@ def optimise_rotations(sample_sets, depth: int, config=None, cycle_order=None) -
         if samples.data.shape != sample_sets[0].data.shape:
             raise PreconditionError("sample sets searched together must share N and d")
         depth, order = split_schedule(samples, depth, cycle_order)
-        with np.errstate(over="ignore"):  # raised below, by name
-            centred = samples.data - samples.barycentre
-        if not np.isfinite(centred).all():  # leaf_boxes needs finite points
-            raise DegeneratePartitionError("centred samples overflow float64; rescale the samples")
+        centred = centre(samples)  # leaf_boxes needs finite points
         seeds = _eigenvector_angles_2d if samples.d == 2 else _eigenvector_mrps_3d
         extra = seeds(samples) if config.eigenvector_start and samples.n >= 2 else []
         searches.append((_optimise_2d if samples.d == 2 else _optimise_3d)(centred, config, extra))
@@ -148,9 +146,9 @@ def optimise_rotations(sample_sets, depth: int, config=None, cycle_order=None) -
 
 
 def entropy_rotated(
-    samples: SampleSet, depth: int, config: OptimizerConfig | None = None, cycle_order=None
+    samples: SampleSet, depth: int, cycle_order=None, *, config: OptimizerConfig | None = None
 ) -> EntropyEstimate:
-    """Equiprobable entropy of ``samples`` at the optimal rotational alignment."""
+    """Equiprobable entropy at the optimal rotational alignment; ``config`` sets the search."""
     rot, evaluation = optimise_rotation(samples, depth, config, cycle_order)
     return EntropyEstimate(
         value=entropy_equiprobable(evaluation.partition),
@@ -178,9 +176,7 @@ def _optimise_2d(centred, config, extra):
     seeds = _best_basin_seeds(values[: len(scan_angles)], scan_angles, config.starts) + extra
 
     step = TWO_PI / config.scan_points  # each polish brackets one scan step either side
-    runs = [
-        _golden_section(s - step, s + step, config.max_iterations, config.tolerance) for s in seeds
-    ]
+    runs = [_golden_section(s - step, s + step, config.max_iterations, TOLERANCE) for s in seeds]
     polished = yield from _lockstep(runs, request)
     candidates += [(value, normalize_angle(x), ok) for x, value, ok in polished]
 
@@ -356,7 +352,7 @@ def _optimise_3d(centred, config, extra):
     starts += extra
 
     # each run's first probe is its start, and its best vertex never rises above it
-    runs = [_nelder_mead(x0, config.max_iterations, 1e-8, config.tolerance) for x0 in starts]
+    runs = [_nelder_mead(x0, config.max_iterations, 1e-8, TOLERANCE) for x0 in starts]
     polished = yield from _lockstep(runs, lambda mrps: (centred, np.array(mrps)))
     # the smallest variance wins, then the smallest rotation angle
     mrp, variance, converged = min(polished, key=lambda r: (r[1], Rotation(r[0]).angle))

@@ -50,7 +50,7 @@ class Partition:
 
 
 def median_split(points, dim: int):
-    """Split points at the marginal median of coordinate ``dim``.
+    """Split (m, d) points at the marginal median of coordinate ``dim``.
 
     The left subset receives the ceil(m/2) smallest points along ``dim``
     (ties resolved by stable input order), the right subset the remainder.
@@ -59,9 +59,8 @@ def median_split(points, dim: int):
     their original row order.
     """
     pts = np.asarray(points, dtype=float)
-    squeeze = pts.ndim == 1
-    if squeeze:
-        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2:
+        raise PreconditionError(f"median split points must be (m, d), got shape {pts.shape}")
     m = pts.shape[0]
     if m < 2:
         raise PreconditionError("median split requires at least 2 points")
@@ -71,10 +70,7 @@ def median_split(points, dim: int):
     if dim >= pts.shape[1]:
         raise PreconditionError(f"dimension index {dim} out of range for d={pts.shape[1]}")
     goes_right, split = _split_rows(pts[:, dim][None], np.empty(m))
-    left, right = pts[~goes_right[0]], pts[goes_right[0]]
-    if squeeze:
-        left, right = left.ravel(), right.ravel()
-    return left, right, float(split[0])
+    return pts[~goes_right[0]], pts[goes_right[0]], float(split[0])
 
 
 def _split_rows(values: np.ndarray, scratch: np.ndarray):
@@ -281,9 +277,9 @@ def partition_from_dict(doc: dict) -> Partition:
     Raises :class:`PreconditionError` for every malformed document: a count,
     ``depth`` or ``dims`` that is not a non-negative integer, a bin count other
     than ``2**(depth*dims)``, a ``cycle_order`` that is not a permutation of
-    ``0..dims-1``, bin or support bounds that are not ``dims`` wide or are
-    ragged, inverted or non-finite, and a stored volume that is not exactly
-    the product of its bin's widths.
+    ``0..dims-1``, bin bounds that are not ``dims`` wide or are ragged,
+    inverted or non-finite, a support that is not the bins' bounding box, and
+    a stored volume that is not exactly the product of its bin's widths.
     """
     try:
         support = np.array([doc["support"]["lower"], doc["support"]["upper"]], dtype=float)
@@ -309,8 +305,8 @@ def partition_from_dict(doc: dict) -> Partition:
         or not np.all(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper))
     ):
         raise PreconditionError("malformed partition document: bad bin bounds")
-    if support.shape != (2, dims) or not np.all(np.isfinite(support) & (support[0] <= support[1])):
-        raise PreconditionError("malformed partition document: bad support")
+    if not np.array_equal(support, [lower.min(axis=0), upper.max(axis=0)]):  # -0.0 == 0.0
+        raise PreconditionError("malformed partition document: support is not the bins' bounds")
     partition = Partition(lower, upper, counts, depth, dims, order, support)
     if not np.array_equal(volumes, bin_volumes(partition)):
         raise PreconditionError("malformed partition document: volume is not the product of widths")

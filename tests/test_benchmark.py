@@ -273,7 +273,7 @@ class TestLockstepStudy:
         for trial, result in enumerate(study.trial_results):
             rng = np.random.default_rng([seed, trial])
             samples = sample_gaussian(random_covariance(rng), n, rng)
-            expected = entropy_rotated(samples, depth, config).value
+            expected = entropy_rotated(samples, depth, config=config).value
             assert result.estimates["rotated_equiprobable"] == expected
         table = estimates_table(study)
         assert hashlib.sha256(table.tobytes()).hexdigest()[:16] == digest
@@ -317,7 +317,7 @@ class TestLockstepStudy:
         sequential = run_study(32, 4, 6, 12, config, bootstrap_resamples=200)
         assert BATCH_SAMPLES // 32 // ((config or OptimizerConfig()).starts + 2) >= 6  # one group
         with pytest.raises(PreconditionError, match=message):
-            entropy_rotated(SampleSet(drawn[2].data * stretch), 1, config)
+            entropy_rotated(SampleSet(drawn[2].data * stretch), 1, config=config)
         assert (grouped.failures, grouped.trials) == (1, 5)
         assert (sequential.failures, sequential.trials) == (1, 5)
         others = estimates_table(plain)[[0, 1, 3, 4, 5]]
@@ -349,8 +349,6 @@ class TestReports:
         doc = study_to_json_dict(study)
         assert doc["n"] == 32 and doc["bins"] == 4
         assert len(doc["trial_results"]) == 3
-        slim = study_to_json_dict(study, include_trials=False)
-        assert "trial_results" not in slim
 
     def test_json_validates_against_schema(self, study):
         jsonschema = pytest.importorskip("jsonschema")
@@ -361,3 +359,6 @@ class TestReports:
         )
         doc = json.loads(json.dumps(study_to_json_dict(study)))
         jsonschema.validate(doc, schema)
+        del doc["trial_results"]  # every report carries them
+        with pytest.raises(jsonschema.ValidationError, match="'trial_results' is a required"):
+            jsonschema.validate(doc, schema)

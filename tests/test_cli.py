@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from conftest import recount_by_membership
 
-from entropart.cli import main, read_samples_csv
+import entropart
+from entropart.cli import METHODS, main, read_samples_csv
+from entropart.partition import partition_from_dict, partition_to_dict
 
 try:
     import jsonschema
@@ -157,6 +159,13 @@ class TestReadCsv:
 
 
 class TestEstimateCommand:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_method_table_holds_the_library_estimator(self, method):
+        # no adapter: each method runs an exported function with the flags' values
+        estimator = METHODS[method][0]
+        assert estimator.__name__ in entropart.__all__
+        assert getattr(entropart, estimator.__name__) is estimator
+
     def test_equiprobable_on_corners(self, capsys, corners_csv):
         doc = run_json(
             capsys, ["estimate", "--input", corners_csv, "--method", "equiprobable", "--depth", "1"]
@@ -383,6 +392,23 @@ class TestDumpPartitionCommand:
         doc = run_json(capsys, ["dump-partition", "--input", path, "--depth", "1"])
         assert json.dumps(doc["support"]) == '{"lower": [-0.0, 0.0], "upper": [3.0, 3.0]}'
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("kind", ["2-D", "3-D", "one-decimal", "signed-zero"])
+    def test_dump_loads_back_unchanged(self, capsys, tmp_path, kind, rotate):
+        rng = np.random.default_rng(21)
+        rows = {
+            "2-D": rng.normal(size=(64, 2)),
+            "3-D": rng.normal(size=(64, 3)),
+            "one-decimal": np.round(rng.normal(size=(64, 2)), 1),
+            "signed-zero": np.array([[-0.0, 1.0], [1.0, 0.0], [2.0, 3.0], [3.0, 2.0]]),
+        }[kind]
+        path = write_csv(tmp_path / "sample.csv", rows.tolist())
+        argv = ["dump-partition", "--input", path, "--depth", "1"] + ["--rotate"] * rotate
+        doc = run_json(capsys, argv)
+        geometry = {key: doc[key] for key in ("support", "depth", "dims", "cycle_order", "bins")}
+        # as text, so a zero's sign counts
+        assert json.dumps(partition_to_dict(partition_from_dict(doc))) == json.dumps(geometry)
+
     def test_rotated_dump_matches_estimate(self, capsys, fig2_csv):
         dump = run_json(
             capsys, ["dump-partition", "--input", fig2_csv, "--depth", "1", "--rotate"]
@@ -423,6 +449,16 @@ def test_underflowing_volumes_exit_3_with_one_line(capsys, tmp_path, method, sca
     rows = np.random.default_rng(0).normal(size=(1000, 2)) * scale
     path = write_csv(tmp_path / "tiny.csv", rows.tolist())
     code = main(["estimate", "--method", method, "--bins-per-dim", "4", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: precondition: bin volumes underflow float64; rescale the samples\n"
+
+
+def test_underflowing_equiprobable_volumes_exit_3_by_name(capsys, tmp_path):
+    # 12 of the 16 bins have positive widths and a volume that is 0.0
+    rows = np.random.default_rng(0).normal(size=(1000, 2)) * 1e-162
+    path = write_csv(tmp_path / "tiny.csv", rows.tolist())
+    code = main(["estimate", "--method", "equiprobable", "--depth", "2", "--input", path])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "error: precondition: bin volumes underflow float64; rescale the samples\n"

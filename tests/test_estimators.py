@@ -101,6 +101,22 @@ class TestEntropyEquiprobable:
         with pytest.raises(DegeneratePartitionError):
             entropy_equiprobable(p)
 
+    def test_tied_zero_widths_keep_the_zero_volume_message(self):
+        # x is 0.0 in the left half, so that half's second x split leaves 4 bins 0 wide
+        data = np.random.default_rng(51).normal(size=(64, 2))
+        data[:32, 0] = 0.0
+        data[32:, 0] = np.abs(data[32:, 0]) + 1.0
+        with pytest.raises(DegeneratePartitionError, match="^4 zero-volume bins; .*entropy_histogram"):
+            entropy_equiprobable(build_equiprobable(SampleSet(data), 2))
+
+    def test_underflowing_volumes_raise_by_name(self):
+        # 12 of the 16 bins have positive widths and a volume that is 0.0
+        s = SampleSet(np.random.default_rng(0).normal(size=(1000, 2)) * 1e-162)
+        p = build_equiprobable(s, 2)
+        assert np.all(p.upper > p.lower) and np.count_nonzero(bin_volumes(p) == 0.0) == 12
+        with pytest.raises(DegeneratePartitionError, match="^bin volumes underflow float64"):
+            entropy_equiprobable(p)
+
     def test_unrotated_estimate_matches_quantile_partition_closed_form(self):
         # The criterion-7 sample: at fixed depth the estimate converges to
         # the Gaussian on its exact quantile partition with the outer faces
@@ -262,16 +278,10 @@ class TestWinsorise:
 
 
 class TestEnsemble:
-    def test_single_order_equals_plain(self):
-        rng = np.random.default_rng(56)
-        s = SampleSet(rng.normal(size=(32, 2)))
-        single = ensemble_estimate(s, 1, [(0, 1)])
-        plain = entropy_equiprobable(build_equiprobable(s, 1, (0, 1)))
-        assert single.value == plain
-
     def test_1d_orders_identical(self):
+        # one dimension has one cyclic shift, so the ensemble is the plain estimate
         s = SampleSet(np.random.default_rng(57).normal(size=(16, 1)))
-        est = ensemble_estimate(s, 2, [(0,), (0,)])
+        est = ensemble_estimate(s, 2)
         assert est.value == entropy_equiprobable(build_equiprobable(s, 2))
 
     def test_2d_mean_of_two_orders(self):
@@ -279,13 +289,9 @@ class TestEnsemble:
         s = SampleSet(rng.normal(size=(48, 2)) @ rng.normal(size=(2, 2)))
         h01 = entropy_equiprobable(build_equiprobable(s, 1, (0, 1)))
         h10 = entropy_equiprobable(build_equiprobable(s, 1, (1, 0)))
-        est = ensemble_estimate(s, 1, [(0, 1), (1, 0)])
+        est = ensemble_estimate(s, 1)
         assert est.value == pytest.approx((h01 + h10) / 2.0, abs=1e-12)
         assert est.method == "ensemble"
-
-    def test_empty_orders_rejected(self):
-        with pytest.raises(PreconditionError):
-            ensemble_estimate(SampleSet(UNIT_SQUARE_CORNERS), 1, [])
 
 
 class TestScalingAndTranslation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entropart import (
+    DegeneratePartitionError,
     PreconditionError,
     Rotation,
     SampleSet,
@@ -84,6 +85,11 @@ class TestMrpFromAngle:
         for theta in thetas:
             assert mrp_from_angle_2d(theta).angle == pytest.approx(theta, abs=1e-12)
 
+    def test_rotation_needs_its_mrp(self):
+        # the identity is spelt Rotation.identity() only
+        with pytest.raises(TypeError):
+            Rotation()
+
     def test_normalize_angle(self):
         assert normalize_angle(2.0 * np.pi) == 0.0
         assert normalize_angle(-np.pi / 2.0) == pytest.approx(3.0 * np.pi / 2.0)
@@ -161,6 +167,13 @@ class TestRotate:
         s = SampleSet(rng.normal(loc=4.0, size=(20, 2)))
         out = rotate(s, Rotation.identity())
         assert np.allclose(out.data, s.data - s.barycentre, atol=1e-15)
+
+    def test_overflowing_centring_raises_by_name(self):
+        # finite samples with a finite mean, 4.25e307, whose centred x overflows;
+        # RuntimeWarnings are errors here, so the overflow must also be silent
+        s = SampleSet([[1.7e308, 0.0], [-1.7e308, 1.0], [1.7e308, 2.0], [0.0, 3.0]])
+        with pytest.raises(DegeneratePartitionError, match="^centred samples overflow float64"):
+            rotate(s, Rotation.identity())
 
     def test_output_is_centred(self):
         rng = np.random.default_rng(4)

@@ -119,27 +119,37 @@ class TestLeafBoxes:
         assert peak < a * n * np.dtype(np.intp).itemsize
 
 
+def column(values):
+    """The (m, 1) points of one coordinate."""
+    return np.array(values, dtype=float)[:, None]
+
+
 class TestMedianSplit:
     def test_even_count(self):
-        left, right, split = median_split(np.array([1.0, 2.0, 3.0, 4.0]), 0)
-        assert sorted(left) == [1.0, 2.0]
-        assert sorted(right) == [3.0, 4.0]
+        left, right, split = median_split(column([1.0, 2.0, 3.0, 4.0]), 0)
+        assert sorted(left[:, 0]) == [1.0, 2.0]
+        assert sorted(right[:, 0]) == [3.0, 4.0]
         assert split == 2.5
 
     def test_odd_count_larger_left(self):
-        left, right, split = median_split(np.array([1.0, 2.0, 3.0]), 0)
-        assert sorted(left) == [1.0, 2.0]
-        assert sorted(right) == [3.0]
+        left, right, split = median_split(column([1.0, 2.0, 3.0]), 0)
+        assert sorted(left[:, 0]) == [1.0, 2.0]
+        assert sorted(right[:, 0]) == [3.0]
         assert split == 2.5
 
     def test_degenerate_ties(self):
-        left, right, split = median_split(np.array([5.0, 5.0, 5.0, 5.0]), 0)
+        left, right, split = median_split(column([5.0, 5.0, 5.0, 5.0]), 0)
         assert len(left) == 2 and len(right) == 2
         assert split == 5.0
 
     def test_requires_two_points(self):
         with pytest.raises(PreconditionError):
-            median_split(np.array([1.0]), 0)
+            median_split(column([1.0]), 0)
+
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 2, 2)])
+    def test_rejects_points_not_m_by_d_by_name(self, shape):
+        with pytest.raises(PreconditionError, match=r"^median split points must be \(m, d\)"):
+            median_split(np.zeros(shape), 0)
 
     def test_bad_dimension(self):
         with pytest.raises(PreconditionError):
@@ -153,7 +163,7 @@ class TestMedianSplit:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_points_by_name(self, bad):
         with pytest.raises(PreconditionError, match="points must be finite"):
-            median_split(np.array([1.0, bad, 2.0, 3.0]), 0)
+            median_split(column([1.0, bad, 2.0, 3.0]), 0)
 
     def test_2d_split_keeps_rows(self):
         pts = np.array([[3.0, 0.0], [1.0, 1.0], [2.0, 2.0], [4.0, 3.0]])
@@ -193,7 +203,7 @@ class TestMedianSplit:
         tied[[9, 10]] = -0.0
         values = np.concatenate([-rng.uniform(1.0, 2.0, 140), tied, rng.uniform(1.0, 2.0, 120)])
         for values in (values, values[::-1].copy()):
-            _, _, split = median_split(values, 0)
+            _, _, split = median_split(values[:, None], 0)
             assert split == 0.0
             order = np.argsort(values, kind="stable")
             assert np.signbit(split) == np.signbit(values[order[149]] + values[order[150]])
@@ -483,6 +493,7 @@ class TestSerialization:
             "support not dims wide",
             "support lower and upper of different lengths",
             "ragged support",
+            "support not the bins' bounding box",
             "repeated cycle_order entry",
             "depth whose bin count has over 4300 digits",
         ]
@@ -544,6 +555,9 @@ class TestSerialization:
             support["upper"] = support["upper"][:1]
         elif case == "ragged support":
             support["lower"] = [support["lower"][0], [support["lower"][1]]]
+        elif case == "support not the bins' bounding box":  # finite and ordered, but elsewhere
+            support["lower"], support["upper"] = [100.0, 100.0], [101.0, 101.0]
+            match += ": support is not the bins' bounds"
         elif case == "repeated cycle_order entry":
             doc["cycle_order"] = [0, 0]
         elif case == "depth whose bin count has over 4300 digits":
