@@ -110,13 +110,15 @@ def entropy_equiprobable_estimate(
     samples: SampleSet, depth: int, cycle_order=None
 ) -> EntropyEstimate:
     """Build an equiprobable partition of ``samples`` and estimate its entropy."""
-    partition = build_equiprobable(samples, depth, cycle_order)
-    return EntropyEstimate(
-        value=entropy_equiprobable(partition),
-        method=METHOD_EQUIPROBABLE,
-        depth=depth,
-        bin_count=partition.bin_count,
-    )
+    return partition_estimate(build_equiprobable(samples, depth, cycle_order))
+
+
+def partition_estimate(
+    partition: Partition, method: str = METHOD_EQUIPROBABLE, rotation: Rotation | None = None
+) -> EntropyEstimate:
+    """The :class:`EntropyEstimate` of an equiprobable partition, built at ``rotation`` if given."""
+    value = entropy_equiprobable(partition)
+    return EntropyEstimate(value, method, partition.depth, partition.bin_count, rotation)
 
 
 def entropy_naive(samples: SampleSet, bins_per_dim: int) -> EntropyEstimate:
@@ -171,16 +173,13 @@ def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> Ent
     _require_representable(volumes)
 
     counts, _ = np.histogramdd(samples.data, bins=edges_per_dim)
-    volumes = volumes.reshape(counts.shape)
-
-    value = entropy_histogram(counts.ravel(), volumes.ravel(), n)
-    actual = int(np.prod([len(e) - 1 for e in edges_per_dim]))
+    value = entropy_histogram(counts, volumes, n)
     return EntropyEstimate(
         value=value,
         method=METHOD_MARGINAL,
         depth=k,
         bin_count=k**d,
-        degenerate_bins=k**d - actual,
+        degenerate_bins=k**d - counts.size,
     )
 
 

@@ -103,11 +103,12 @@ class Rotation:
         return float(4.0 * np.arctan(np.linalg.norm(self.mrp)))
 
 
-def normalize_angle(theta: float) -> float:
-    """Reduce an angle to the canonical [0, 2*pi) range."""
-    theta = float(theta) % TWO_PI
-    # % can return the modulus itself when the remainder underflows
-    return 0.0 if theta == TWO_PI else theta
+def normalize_angle(theta):
+    """Reduce a float angle to a float, or an array of them to an array, in [0, 2*pi)."""
+    reduced = np.remainder(np.asarray(theta, dtype=float), TWO_PI)  # Python's float % here
+    # the remainder can be the modulus itself where it underflows
+    reduced = np.where(reduced == TWO_PI, 0.0, reduced)
+    return reduced if np.ndim(theta) else float(reduced)
 
 
 def mrp_from_angle_2d(theta: float) -> Rotation:
@@ -154,19 +155,25 @@ def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:
     """Rotate samples about their barycentre, leaving them centred at the origin.
 
     The frame is not translated back, as bin volumes and entropy are
-    translation-invariant; centring that overflows float64 raises by name.
+    translation-invariant; centring or rotation that overflows float64 raises by name.
     """
     centred = centre(samples)
     if samples.d == 1:
         # nothing to rotate in one dimension; centring is the whole operation
         return SampleSet._adopt(centred)
-    return SampleSet._adopt(centred @ rotation_matrices(rot.mrp[None], samples.d)[0].T)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, by name
+        rotated = centred @ rotation_matrices(rot.mrp[None], samples.d)[0].T
+    return SampleSet._adopt(_require_finite(rotated, "rotated"))
 
 
 def centre(samples: SampleSet) -> np.ndarray:
     """``samples.data`` less its barycentre; raises by name where that overflows float64."""
     with np.errstate(over="ignore"):  # raised below, by name
         centred = samples.data - samples.barycentre
-    if not np.isfinite(centred).all():
-        raise DegeneratePartitionError("centred samples overflow float64; rescale the samples")
-    return centred
+    return _require_finite(centred, "centred")
+
+
+def _require_finite(points: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(points).all():
+        raise DegeneratePartitionError(f"{what} samples overflow float64; rescale the samples")
+    return points

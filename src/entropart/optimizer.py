@@ -22,13 +22,13 @@ optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import PreconditionError, require_int
-from .estimators import METHOD_ROTATED, EntropyEstimate, entropy_equiprobable
+from .estimators import METHOD_ROTATED, EntropyEstimate, partition_estimate
 from .geometry import (
     TWO_PI,
     Rotation,
@@ -137,12 +137,12 @@ def optimise_rotations(sample_sets, depth: int, config=None, cycle_order=None) -
         seeds = _eigenvector_angles_2d if samples.d == 2 else _eigenvector_mrps_3d
         extra = seeds(samples) if config.eigenvector_start and samples.n >= 2 else []
         searches.append((_optimise_2d if samples.d == 2 else _optimise_3d)(centred, config, extra))
-    workspace, found = Workspace(), []
+    workspace = Workspace()
     results = _drive(_lockstep(searches), lambda r: _variances(r, depth, order, workspace))
-    for samples, (rot, variance, converged) in zip(sample_sets, results):
-        partition = build_equiprobable(rotate(samples, rot), depth, order)
-        found.append((rot, ObjectiveEvaluation(rot, variance, partition, converged)))
-    return found
+    return [  # the variance the search found, which equals volume_variance's bit for bit
+        (rot, replace(volume_variance(s, rot, depth, order), variance=variance, converged=ok))
+        for s, (rot, variance, ok) in zip(sample_sets, results)
+    ]
 
 
 def entropy_rotated(
@@ -150,23 +150,17 @@ def entropy_rotated(
 ) -> EntropyEstimate:
     """Equiprobable entropy at the optimal rotational alignment; ``config`` sets the search."""
     rot, evaluation = optimise_rotation(samples, depth, config, cycle_order)
-    return EntropyEstimate(
-        value=entropy_equiprobable(evaluation.partition),
-        method=METHOD_ROTATED,
-        depth=depth,
-        bin_count=evaluation.partition.bin_count,
-        rotation=rot,
-    )
+    return partition_estimate(evaluation.partition, METHOD_ROTATED, rot)
 
 
 def _optimise_2d(centred, config, extra):
     def request(thetas):
         mrps = np.zeros((len(thetas), 3))
-        mrps[:, 2] = np.tan(_canonical_angles(thetas) / 4.0)
+        mrps[:, 2] = np.tan(normalize_angle(thetas) / 4.0)
         return centred, mrps
 
     scan_angles = TWO_PI * np.arange(config.scan_points) / config.scan_points
-    angles = _canonical_angles(np.concatenate([scan_angles, extra]))
+    angles = np.concatenate([scan_angles, extra])  # each already in [0, 2*pi)
     values = np.array((yield request(angles)))
 
     # (variance, canonical angle, converged); smallest-angle wins exact ties; of the scan only
@@ -187,20 +181,21 @@ def _optimise_2d(centred, config, extra):
 def _variances(requests, depth, order, workspace) -> list[list]:
     """Per ``(centred samples, MRPs)`` request sharing N and d, ``volume_variance`` at each MRP."""
     n, d = requests[0][0].shape
-    matrices = rotation_matrices(np.concatenate([mrps for _, mrps in requests]), d)
     bounds = [0, *accumulate(len(mrps) for _, mrps in requests)]
     batch = max(1, BATCH_SAMPLES // n)
     variances = []
-    for start in range(0, len(matrices), batch):
-        stop = min(start + batch, len(matrices))
-        points = workspace.points(stop - start, d, n)
-        # (A, d, N) as the kernel reads it; R @ X.T keeps the bits of rotate's X @ R.T
-        for (centred, _), first, end in zip(requests, bounds, bounds[1:]):
-            i, j = max(start, first), min(stop, end)  # the request's part of the batch
-            if i < j:
-                np.matmul(matrices[i:j], centred.T, out=points[i - start : j - start])
-        lower, upper, _ = leaf_boxes(points, depth, order, workspace)
-        variances.extend(_row_variances(box_volumes(lower, upper, normalize=True)).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # box_volumes names an overflowing rotation
+        matrices = rotation_matrices(np.concatenate([mrps for _, mrps in requests]), d)
+        for start in range(0, len(matrices), batch):
+            stop = min(start + batch, len(matrices))
+            points = workspace.points(stop - start, d, n)
+            # (A, d, N) as the kernel reads it; R @ X.T keeps the bits of rotate's X @ R.T
+            for (centred, _), first, end in zip(requests, bounds, bounds[1:]):
+                i, j = max(start, first), min(stop, end)  # the request's part of the batch
+                if i < j:
+                    np.matmul(matrices[i:j], centred.T, out=points[i - start : j - start])
+            lower, upper, _ = leaf_boxes(points, depth, order, workspace)
+            variances.extend(_row_variances(box_volumes(lower, upper, normalize=True)).tolist())
     return [variances[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
@@ -209,13 +204,6 @@ def _row_variances(volumes: np.ndarray) -> np.ndarray:
     b = volumes.shape[-1]
     dev = volumes - np.add.reduce(volumes, axis=-1, keepdims=True) / b
     return np.add.reduce(dev * dev, axis=-1) / b
-
-
-def _canonical_angles(thetas) -> np.ndarray:
-    """:func:`normalize_angle` of each angle, bit for bit."""
-    reduced = np.remainder(thetas, TWO_PI)  # Python's float % for a positive modulus
-    reduced[reduced == TWO_PI] = 0.0
-    return reduced
 
 
 def _best_basin_seeds(values, angles, starts: int) -> list[float]:

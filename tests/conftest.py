@@ -1,6 +1,6 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and samples for the test suite.
 
-These helpers deliberately do not reuse library internals: membership
+The oracles deliberately do not reuse library internals: membership
 recounts and reference partitions are reimplemented from scratch so they can
 serve as independent checks of the production code paths.
 """
@@ -9,6 +9,8 @@ import math
 import statistics
 
 import numpy as np
+
+from entropart import SampleSet, mrp_from_angle_2d, normalize_angle, volume_variance
 
 # every count argument must refuse each of these by name: a fraction, an
 # integral float, NaN, infinity and a negative
@@ -91,3 +93,24 @@ def circular_distance(a, b):
     """Shortest angular distance between two angles in radians."""
     diff = abs(a - b) % (2.0 * np.pi)
     return min(diff, 2.0 * np.pi - diff)
+
+
+def fig2_sample(seed, n=64):
+    """Correlated synthetic data: y = x + noise, x standard normal."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, n)
+    y = x + rng.normal(0.0, 0.5, n)
+    return SampleSet(np.column_stack([x, y]))
+
+
+def variance_at(samples, theta, depth):
+    return volume_variance(samples, mrp_from_angle_2d(normalize_angle(theta)), depth).variance
+
+
+def overflowing_under_rotation(d):
+    """Finite rows, finite once centred, whose rotation by pi/4 about z overflows float64."""
+    rows = [[1.5e308, 1.5e308], [-1.5e308, -1.5e308], [1e307, -1e307], [-1e307, 1e307]]
+    if d == 2:
+        return np.array(rows)
+    # each planar row at two heights: 8 rows, enough for depth 1 in 3-D
+    return np.array([[x, y, z] for z in (1.0, -1.0) for x, y in rows])

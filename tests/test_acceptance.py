@@ -11,7 +11,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import circular_distance, gaussian_quantile_entropy, recount_by_membership
+from conftest import (
+    circular_distance,
+    fig2_sample,
+    gaussian_quantile_entropy,
+    recount_by_membership,
+    variance_at,
+)
 
 from entropart import (
     SampleSet,
@@ -23,11 +29,8 @@ from entropart import (
     entropy_marginal_equiquantised,
     entropy_naive,
     entropy_rotated,
-    mrp_from_angle_2d,
-    normalize_angle,
     optimise_rotation,
     run_study,
-    volume_variance,
 )
 from entropart.cli import main
 
@@ -38,17 +41,6 @@ ORACLE_GRID = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
 def report(num, name, passed, detail):
     print(f"ACCEPTANCE {num} ({name}): {'PASS' if passed else 'FAIL'} — {detail}")
     return passed
-
-
-def variance_at(samples, theta, depth):
-    return volume_variance(samples, mrp_from_angle_2d(normalize_angle(theta)), depth).variance
-
-
-def fig2_sample(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(0.0, 1.0, 64)
-    y = x + rng.normal(0.0, 0.5, 64)
-    return SampleSet(np.column_stack([x, y]))
 
 
 def test_criterion_1_uniform_lattice_zero_entropy():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import overflowing_under_rotation
 
 from entropart import (
     DegeneratePartitionError,
@@ -174,6 +175,14 @@ class TestRotate:
         s = SampleSet([[1.7e308, 0.0], [-1.7e308, 1.0], [1.7e308, 2.0], [0.0, 3.0]])
         with pytest.raises(DegeneratePartitionError, match="^centred samples overflow float64"):
             rotate(s, Rotation.identity())
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_rotation_raises_by_name(self, d):
+        # finite samples with a finite centring whose rotation by pi/4 about z
+        # overflows; RuntimeWarnings are errors here, so it must also be silent
+        s = SampleSet(overflowing_under_rotation(d))
+        with pytest.raises(DegeneratePartitionError, match="^rotated samples overflow float64"):
+            rotate(s, Rotation([0.0, 0.0, np.tan(np.pi / 16)]))
 
     def test_output_is_centred(self):
         rng = np.random.default_rng(4)

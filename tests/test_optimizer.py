@@ -7,7 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import BAD_COUNTS, circular_distance
+from conftest import (
+    BAD_COUNTS,
+    circular_distance,
+    fig2_sample,
+    overflowing_under_rotation,
+    variance_at,
+)
 from scipy import optimize
 
 import entropart.optimizer
@@ -30,7 +36,6 @@ from entropart.optimizer import (
     BATCH_SAMPLES,
     TOLERANCE,
     _best_basin_seeds,
-    _canonical_angles,
     _drive,
     _eigenvector_mrps_3d,
     _fibonacci_axes,
@@ -45,18 +50,6 @@ from entropart.partition import Workspace
 
 FAST = OptimizerConfig(scan_points=256)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def fig2_sample(seed, n=64):
-    """Correlated synthetic data: y = x + noise, x standard normal."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(0.0, 1.0, n)
-    y = x + rng.normal(0.0, 0.5, n)
-    return SampleSet(np.column_stack([x, y]))
-
-
-def variance_at(samples, theta, depth):
-    return volume_variance(samples, mrp_from_angle_2d(normalize_angle(theta)), depth).variance
 
 
 class TestVolumeVariance:
@@ -106,6 +99,17 @@ class TestVolumeVariance:
         # the same check, through rotate; RuntimeWarnings are errors here
         with pytest.raises(DegeneratePartitionError, match="centred samples overflow"):
             volume_variance(s, mrp_from_angle_2d(0.5), 1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_rotations_raise_by_name(self, d):
+        # the centred samples are finite, their rotation by pi/4 about z is not;
+        # RuntimeWarnings are errors here, so the overflow must also be silent
+        s = SampleSet(overflowing_under_rotation(d))
+        with pytest.raises(DegeneratePartitionError, match="^rotated samples overflow float64"):
+            volume_variance(s, Rotation([0.0, 0.0, np.tan(np.pi / 16)]), 1)
+        # the search's kernel meets the same rotations and names them by their volumes
+        with pytest.raises(DegeneratePartitionError, match="^bin volumes overflow float64"):
+            optimise_rotation(s, 1, OptimizerConfig(eigenvector_start=False))
 
 
 class TestOptimiseRotation:
@@ -603,9 +607,12 @@ class TestScanBookkeeping:
                 [0.0, -0.0, TWO_PI, -TWO_PI, 3 * TWO_PI, -1e-300, 1e-300, -1e-17, np.pi],
             ]
         )
-        got = _canonical_angles(thetas.tolist())
-        want = [normalize_angle(theta) for theta in thetas]
+        got = normalize_angle(thetas.tolist())
+        want = [normalize_angle(float(theta)) for theta in thetas]
+        assert all(type(angle) is float for angle in want)
         assert got.tobytes() == np.array(want).tobytes()
+        # and the scalar form is Python's float %, a remainder of 2pi mapped to 0
+        assert want == [0.0 if t % TWO_PI == TWO_PI else t % TWO_PI for t in thetas.tolist()]
 
     @pytest.mark.parametrize("extra", [[], [0.67, 4.0]])
     @pytest.mark.parametrize("kind", LANDSCAPES)
