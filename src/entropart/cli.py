@@ -54,11 +54,11 @@ class UsageError(ValueError):
 def read_samples_csv(path: str, has_header: bool = False) -> SampleSet:
     """Read one sample per row of comma-separated floats, reporting bad lines.
 
-    numpy's C parser reads the file as a stream; its result is kept only when
-    it has one row per line that ``_parse_lines`` would parse and every value
-    is finite.  Anything else (a blank or bad line, bytes that are not UTF-8,
-    a spelling that only ``float()`` accepts) is parsed again by
-    ``_parse_lines``, which defines the format and names the first bad line.
+    numpy's C parser reads the file by path, in chunks; its result is kept
+    only when it has one row per line that ``_parse_lines`` would parse and
+    every value is finite.  Anything else (a blank or bad line, bytes that
+    are not UTF-8, a spelling that only ``float()`` accepts) is parsed again
+    by ``_parse_lines``, which defines the format and names the first bad line.
     """
     try:
         data = None
@@ -66,10 +66,11 @@ def read_samples_csv(path: str, has_header: bool = False) -> SampleSet:
             lines, blank_tail, odd = _scan_lines(path)
             expected = lines - has_header - blank_tail
             if expected > 0 and not odd:
-                with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+                with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # "input contained no data"
                     loaded = np.loadtxt(
-                        fh, delimiter=",", comments=None, ndmin=2, skiprows=int(has_header)
+                        path, delimiter=",", comments=None, ndmin=2, skiprows=int(has_header),
+                        encoding="utf-8",
                     )
                 if loaded.shape[0] == expected and np.isfinite(loaded).all():
                     data = loaded

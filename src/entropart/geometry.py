@@ -36,24 +36,26 @@ class SampleSet:
         self._own(np.array(data, dtype=float))
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray) -> SampleSet:
+    def _adopt(cls, arr: np.ndarray, overflow: str | None = None) -> SampleSet:
         """A sample set over ``arr`` itself, not a copy: for a new array that no one else holds."""
         samples = cls.__new__(cls)
-        samples._own(np.asarray(arr, dtype=float))
+        samples._own(np.asarray(arr, dtype=float), overflow)
         return samples
 
-    def _own(self, arr: np.ndarray) -> None:
+    def _own(self, arr: np.ndarray, overflow: str | None = None) -> None:
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
             raise PreconditionError("sample data must be a 2-D matrix (rows are observations)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise PreconditionError("sample data must contain at least one row and one column")
-        if not np.isfinite(arr).all():
-            raise PreconditionError("sample data must be finite in every entry")
         with np.errstate(over="ignore", invalid="ignore"):  # raised below, by name
             barycentre = arr.mean(axis=0)
-        if not np.isfinite(barycentre).all():
+        if not np.isfinite(barycentre).all():  # as it is wherever an entry is not finite
+            if overflow:  # the caller's name for any non-finite entry or mean
+                raise DegeneratePartitionError(overflow)
+            if not np.isfinite(arr).all():
+                raise PreconditionError("sample data must be finite in every entry")
             raise PreconditionError("sample mean overflows float64; rescale the samples")
         arr.setflags(write=False)
         self._data = arr
@@ -141,9 +143,8 @@ def rotation_matrices(mrps, d: int) -> np.ndarray:
         matrices[:, 0, 0], matrices[:, 0, 1], matrices[:, 1, 0], matrices[:, 1, 1] = c, -s, s, c
         return matrices
     if d == 3:
-        x, y, z, zero = *mrps.T, np.zeros(len(mrps))
-        # row i is e_i x mrp; np.cross gives the same matrices, at twice the cost
-        skew = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+        skew = np.zeros((len(mrps), 3, 3))  # row i is e_i x mrp; np.cross costs twice as much
+        skew[:, [2, 0, 1], [1, 2, 0]], skew[:, [1, 2, 0], [2, 0, 1]] = mrps, -mrps
         s2 = mrps[:, None, :] @ mrps[:, :, None]
         # libm pow, as a Python float's ** takes it; an ndarray ** 2 multiplies instead
         denom = np.float_power(1.0 + s2, 2.0)
@@ -161,19 +162,16 @@ def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:
     if samples.d == 1:
         # nothing to rotate in one dimension; centring is the whole operation
         return SampleSet._adopt(centred)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below, by name
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by SampleSet, by name
         rotated = centred @ rotation_matrices(rot.mrp[None], samples.d)[0].T
-    return SampleSet._adopt(_require_finite(rotated, "rotated"))
+    # its one finiteness check, the mean's, also covers rows whose column sum overflows
+    return SampleSet._adopt(rotated, "rotated samples overflow float64; rescale the samples")
 
 
 def centre(samples: SampleSet) -> np.ndarray:
     """``samples.data`` less its barycentre; raises by name where that overflows float64."""
     with np.errstate(over="ignore"):  # raised below, by name
         centred = samples.data - samples.barycentre
-    return _require_finite(centred, "centred")
-
-
-def _require_finite(points: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(points).all():
-        raise DegeneratePartitionError(f"{what} samples overflow float64; rescale the samples")
-    return points
+    if not np.isfinite(centred).all():
+        raise DegeneratePartitionError("centred samples overflow float64; rescale the samples")
+    return centred

@@ -13,7 +13,8 @@ minima: kinks appear wherever a rotation reorders sample coordinates, and
 competitive basins can be a few milliradians wide.  Alignment is therefore
 derivative-free and deliberately dense in 2-D: a deterministic uniform angle
 scan locates the candidate basins and golden-section polishes the best of
-them.  3-D alignment runs multi-start Nelder-Mead over the MRP vector.  Both
+them.  3-D alignment runs multi-start Nelder-Mead over the MRP vector, its
+simplex bookkept on Python floats in the arithmetic of scipy's reference.  Both
 searches advance all their local runs in lock-step, so every round of probes
 is one batched call of the partition kernel, and so can the searches of sample
 sets of one size.  Everything is deterministic; there is no randomness in the
@@ -262,32 +263,33 @@ def _golden_section(a, b, max_iterations, tolerance):
 
 
 def _nelder_mead(x0, max_iterations, xatol, fatol):
-    """Nelder-Mead minimization from ``x0``, as a generator like :func:`_golden_section`.
+    """Nelder-Mead minimization from the 3-vector ``x0``, as a generator like :func:`_golden_section`.
 
-    Unbounded, non-adaptive steps (reflection 1, expansion 2, contraction and
-    shrink 1/2) in the exact arithmetic of the reference the tests compare it
-    with, so both probe the same points.  Returns ``(point, value, converged)``
-    for the best vertex; converged means both tolerances held before ``max_iterations``.
+    Unbounded, non-adaptive steps (reflection 1, expansion 2, contraction and shrink 1/2)
+    on lists of Python floats, each the IEEE operations of scipy's arrays, the reference
+    the tests compare it with (exact ties ranked by its argsort, which need not be stable),
+    so both probe the same points.  Returns ``(point, value, converged)`` for the best
+    vertex; converged means both tolerances held before ``max_iterations``.
     """
-    n = len(x0)
-    sim = np.array([x0] * (n + 1), dtype=float)
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.empty(n + 1)
-    for k in range(n + 1):
-        fsim[k] = yield sim[k].copy()
+    n, x0 = len(x0), [float(c) for c in x0]
+    sim = [x0] + [x0[:k] + [1.05 * c if c != 0 else 0.00025] + x0[k + 1 :] for k, c in enumerate(x0)]
+    fsim = []
+    for vertex in sim:
+        fsim.append((yield vertex))
     for iteration in range(1, max_iterations + 1):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-        if iteration == max_iterations or (
-            np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol
+        ind = np.argsort(fsim) if len(set(fsim)) <= n else sorted(range(n + 1), key=fsim.__getitem__)
+        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
+        if iteration == max_iterations or (  # the cheaper test first, as it seldom holds
+            fsim[-1] - fsim[0] <= fatol  # fsim ascends, so this is its widest gap
+            and max(abs(c - b) for v in sim[1:] for c, b in zip(v, sim[0])) <= xatol
         ):
-            return sim[0], float(fsim[0]), iteration < max_iterations
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+            return np.array(sim[0]), float(fsim[0]), iteration < max_iterations
+        # rows added left to right, as numpy's axis-0 reduce adds them (sum() may compensate)
+        xbar = [(a + b + c) / n for a, b, c in zip(*sim[:-1])]
+        xr = [2 * c - w for c, w in zip(xbar, sim[-1])]
         fxr = yield xr
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = [3 * c - 2 * w for c, w in zip(xbar, sim[-1])]
             fxe = yield xe
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
@@ -295,14 +297,14 @@ def _nelder_mead(x0, max_iterations, xatol, fatol):
         else:
             # contract outside the simplex if the reflection beat the worst vertex, else inside
             outside = fxr < fsim[-1]
-            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            xc = [1.5 * c - 0.5 * w if outside else 0.5 * c + 0.5 * w for c, w in zip(xbar, sim[-1])]
             fxc = yield xc
             if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink toward the best vertex
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = yield sim[j].copy()
+                    sim[j] = [b + 0.5 * (c - b) for c, b in zip(sim[j], sim[0])]
+                    fsim[j] = yield sim[j]
 
 
 def _drive(rounds, answer):

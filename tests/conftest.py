@@ -107,9 +107,14 @@ def variance_at(samples, theta, depth):
     return volume_variance(samples, mrp_from_angle_2d(normalize_angle(theta)), depth).variance
 
 
-def overflowing_under_rotation(d):
-    """Finite rows, finite once centred, whose rotation by pi/4 about z overflows float64."""
+def overflowing_under_rotation(d, column_sum=False):
+    """Finite rows, finite once centred, whose rotation by pi/4 about z overflows float64.
+
+    With ``column_sum`` the rotated rows stay finite and only their column sum overflows.
+    """
     rows = [[1.5e308, 1.5e308], [-1.5e308, -1.5e308], [1e307, -1e307], [-1e307, 1e307]]
+    if column_sum:  # mean 0; rotated, each row is about [0, +-0.99e308], and two sum past float64
+        rows = [[0.7e308, 0.7e308]] * 2 + [[-0.7e308, -0.7e308]] * 2
     if d == 2:
         return np.array(rows)
     # each planar row at two heights: 8 rows, enough for depth 1 in 3-D

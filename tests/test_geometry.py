@@ -184,6 +184,14 @@ class TestRotate:
         with pytest.raises(DegeneratePartitionError, match="^rotated samples overflow float64"):
             rotate(s, Rotation([0.0, 0.0, np.tan(np.pi / 16)]))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_rotated_column_sum_raises_by_name(self, d):
+        # mean 0, and the rotated rows are finite, but their sum is not: the
+        # user's mean does not overflow, so the error names the rotation
+        s = SampleSet(overflowing_under_rotation(d, column_sum=True))
+        with pytest.raises(DegeneratePartitionError, match="^rotated samples overflow float64"):
+            rotate(s, Rotation([0.0, 0.0, np.tan(np.pi / 16)]))
+
     def test_output_is_centred(self):
         rng = np.random.default_rng(4)
         s = SampleSet(rng.normal(size=(200, 2)))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -110,6 +111,13 @@ class TestVolumeVariance:
         # the search's kernel meets the same rotations and names them by their volumes
         with pytest.raises(DegeneratePartitionError, match="^bin volumes overflow float64"):
             optimise_rotation(s, 1, OptimizerConfig(eigenvector_start=False))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_rotated_column_sums_raise_by_name(self, d):
+        # the rotated rows are finite and the user's mean is 0, but the rotated column sum is not
+        s = SampleSet(overflowing_under_rotation(d, column_sum=True))
+        with pytest.raises(DegeneratePartitionError, match="^rotated samples overflow float64"):
+            volume_variance(s, Rotation([0.0, 0.0, np.tan(np.pi / 16)]), 1)
 
 
 class TestOptimiseRotation:
@@ -260,6 +268,27 @@ class TestOptimise3d:
         starts += _eigenvector_mrps_3d(s)
         assert len(starts) == 17
         assert [requested.count(x.tobytes()) for x in starts] == [1] * 17
+
+    def test_every_probe_of_a_default_search_is_pinned(self, monkeypatch):
+        # SEEDED_3D pins winners only; this pins, in order, each MRP a default
+        # search asks the kernel for and each variance it gets back, on the
+        # shape of input the align-3d benchmark uses (N=512, depth 1)
+        rng = np.random.default_rng(84)
+        s = SampleSet(rng.normal(size=(512, 3)) @ rng.normal(size=(3, 3)))
+        stream, probes, variances = hashlib.sha256(), [], entropart.optimizer._variances
+
+        def recording(requests, *args):
+            answers = variances(requests, *args)
+            for (_, mrps), values in zip(requests, answers):
+                stream.update(np.ascontiguousarray(mrps, dtype=float).tobytes())
+                stream.update(np.array(values, dtype=float).tobytes())
+                probes.append(len(values))
+            return answers
+
+        monkeypatch.setattr(entropart.optimizer, "_variances", recording)
+        optimise_rotation(s, 1)
+        assert (len(probes), sum(probes)) == (187, 3069)  # rounds, probes
+        assert stream.hexdigest()[:16] == "6b4703bdcf030dec"
 
     def test_finds_no_worse_than_identity(self):
         rng = np.random.default_rng(80)
@@ -524,6 +553,13 @@ def stepped_bowl(x):  # plateaus make contractions fail, so the simplex shrinks
     return float(np.floor(8.0 * np.sum((x - BOWL_CENTRE) ** 2)))
 
 
+def tied_bowl(x):
+    # from the origin the first simplex's values are (1, 1, 0, 0) in rank: vertices 0 and 1
+    # tie (x[0] sits halfway along its step) and so do 2 and 3 (fsum is exact, so symmetric);
+    # numpy's argsort may order such ties otherwise than a stable sort does
+    return math.fsum([(x[0] - 0.000125) ** 2, (x[1] - 0.3) ** 2, (x[2] - 0.3) ** 2])
+
+
 def volume_variance_3d(x):
     rng = np.random.default_rng(92)
     s = SampleSet(rng.normal(size=(256, 3)) @ rng.normal(size=(3, 3)))
@@ -646,8 +682,9 @@ class TestNelderMead:
             (volume_variance_3d, [[0.0, 0.0, 0.2], [0.3, -0.1, 0.2], [-0.2, 0.4, 0.1]], 60, False),
             (bowl, [[0.0, 0.4, 0.0], [0.0, 0.0, 0.0]], 400, True),
             (stepped_bowl, [[0.5, 0.1, -0.2]], 100, True),
+            (tied_bowl, [[0.0, 0.0, 0.0]], 400, True),
         ],
-        ids=["bowl", "volume-variance", "zero-components", "shrink"],
+        ids=["bowl", "volume-variance", "zero-components", "shrink", "ties"],
     )
     def test_lockstep_matches_scipy(self, f, starts, max_iterations, converges):
         starts = [np.array(x0) for x0 in starts]
