@@ -156,12 +156,10 @@ def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:
     """Rotate samples about their barycentre, leaving them centred at the origin.
 
     The frame is not translated back, as bin volumes and entropy are
-    translation-invariant; centring or rotation that overflows float64 raises by name.
+    translation-invariant; centring or rotation that overflows float64 raises by name,
+    and :func:`rotation_matrices` decides which dimensions rotate.
     """
     centred = centre(samples)
-    if samples.d == 1:
-        # nothing to rotate in one dimension; centring is the whole operation
-        return SampleSet._adopt(centred)
     with np.errstate(over="ignore", invalid="ignore"):  # raised by SampleSet, by name
         rotated = centred @ rotation_matrices(rot.mrp[None], samples.d)[0].T
     # its one finiteness check, the mean's, also covers rows whose column sum overflows

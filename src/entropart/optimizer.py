@@ -57,6 +57,7 @@ BATCH_SAMPLES = 2**14
 
 # a local run (golden-section, or Nelder-Mead as its fatol) stops when its variances agree this far
 TOLERANCE = 1e-10
+X_TOLERANCE = 1e-8  # a Nelder-Mead run also waits for its vertices to agree this far (xatol)
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,6 @@ class OptimizerConfig:
 class ObjectiveEvaluation:
     """Variance of normalized bin volumes at one orientation, and the partition built there."""
 
-    rotation: Rotation
     variance: float
     partition: Partition
     converged: bool = True
@@ -99,7 +99,7 @@ def volume_variance(
     """Rotate, partition, and return the population variance of normalized volumes."""
     partition = build_equiprobable(rotate(samples, rot), depth, cycle_order)
     variance = float(_row_variances(box_volumes(partition.lower, partition.upper, normalize=True)))
-    return ObjectiveEvaluation(rotation=rot, variance=variance, partition=partition)
+    return ObjectiveEvaluation(variance, partition)
 
 
 def optimise_rotation(
@@ -107,13 +107,12 @@ def optimise_rotation(
 ):
     """Find the orientation minimising the bin-volume variance.
 
-    Returns ``(rotation, evaluation)``.  The evaluation carries the variance
-    the search found at the winning orientation and the one partition built
-    there, both bit for bit what :func:`volume_variance` gives at that
-    rotation, and whether the winning local run met its tolerance.  The
-    result never exceeds the objective at any start point (a 3-D run's best
-    vertex never rises above its start); exact ties are broken toward the
-    smallest rotation angle so results are reproducible.
+    Returns ``(rotation, evaluation)``: :func:`volume_variance` at the winning
+    orientation, whose variance is bit for bit the one the search found, and
+    whether the winning local run met its tolerance.  The result never exceeds
+    the objective at any start point (a 3-D run's best vertex never rises above
+    its start); exact ties are broken toward the smallest rotation angle so
+    results are reproducible.
     """
     return optimise_rotations([samples], depth, config, cycle_order)[0]
 
@@ -140,9 +139,9 @@ def optimise_rotations(sample_sets, depth: int, config=None, cycle_order=None) -
         searches.append((_optimise_2d if samples.d == 2 else _optimise_3d)(centred, config, extra))
     workspace = Workspace()
     results = _drive(_lockstep(searches), lambda r: _variances(r, depth, order, workspace))
-    return [  # the variance the search found, which equals volume_variance's bit for bit
-        (rot, replace(volume_variance(s, rot, depth, order), variance=variance, converged=ok))
-        for s, (rot, variance, ok) in zip(sample_sets, results)
+    return [
+        (rot, replace(volume_variance(s, rot, depth, order), converged=ok))
+        for s, (rot, ok) in zip(sample_sets, results)
     ]
 
 
@@ -171,12 +170,12 @@ def _optimise_2d(centred, config, extra):
     seeds = _best_basin_seeds(values[: len(scan_angles)], scan_angles, config.starts) + extra
 
     step = TWO_PI / config.scan_points  # each polish brackets one scan step either side
-    runs = [_golden_section(s - step, s + step, config.max_iterations, TOLERANCE) for s in seeds]
+    runs = [_golden_section(s - step, s + step, config.max_iterations) for s in seeds]
     polished = yield from _lockstep(runs, request)
     candidates += [(value, normalize_angle(x), ok) for x, value, ok in polished]
 
-    variance, angle, converged = min(candidates, key=lambda c: (c[0], c[1]))
-    return mrp_from_angle_2d(angle), variance, converged
+    _, angle, converged = min(candidates, key=lambda c: (c[0], c[1]))
+    return mrp_from_angle_2d(angle), converged
 
 
 def _variances(requests, depth, order, workspace) -> list[list]:
@@ -232,7 +231,7 @@ def _eigenvector_angles_2d(samples) -> list[float]:
     return [normalize_angle(-phi), normalize_angle(np.pi / 2.0 - phi)]
 
 
-def _golden_section(a, b, max_iterations, tolerance):
+def _golden_section(a, b, max_iterations):
     """Golden-section minimization on [a, b], as a generator.
 
     It yields each point to probe, is sent the objective there, and returns
@@ -257,19 +256,19 @@ def _golden_section(a, b, max_iterations, tolerance):
             best_x, best_f = c, fc
         if fd < best_f:
             best_x, best_f = d, fd
-        if (b - a) <= 1e-12 or abs(fc - fd) <= tolerance:
+        if (b - a) <= 1e-12 or abs(fc - fd) <= TOLERANCE:
             return best_x, best_f, True
     return best_x, best_f, False
 
 
-def _nelder_mead(x0, max_iterations, xatol, fatol):
+def _nelder_mead(x0, max_iterations):
     """Nelder-Mead minimization from the 3-vector ``x0``, as a generator like :func:`_golden_section`.
 
     Unbounded, non-adaptive steps (reflection 1, expansion 2, contraction and shrink 1/2)
     on lists of Python floats, each the IEEE operations of scipy's arrays, the reference
     the tests compare it with (exact ties ranked by its argsort, which need not be stable),
     so both probe the same points.  Returns ``(point, value, converged)`` for the best
-    vertex; converged means both tolerances held before ``max_iterations``.
+    vertex; converged means ``TOLERANCE`` and ``X_TOLERANCE`` held before ``max_iterations``.
     """
     n, x0 = len(x0), [float(c) for c in x0]
     sim = [x0] + [x0[:k] + [1.05 * c if c != 0 else 0.00025] + x0[k + 1 :] for k, c in enumerate(x0)]
@@ -280,8 +279,8 @@ def _nelder_mead(x0, max_iterations, xatol, fatol):
         ind = np.argsort(fsim) if len(set(fsim)) <= n else sorted(range(n + 1), key=fsim.__getitem__)
         sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
         if iteration == max_iterations or (  # the cheaper test first, as it seldom holds
-            fsim[-1] - fsim[0] <= fatol  # fsim ascends, so this is its widest gap
-            and max(abs(c - b) for v in sim[1:] for c, b in zip(v, sim[0])) <= xatol
+            fsim[-1] - fsim[0] <= TOLERANCE  # fsim ascends, so this is its widest gap
+            and max(abs(c - b) for v in sim[1:] for c, b in zip(v, sim[0])) <= X_TOLERANCE
         ):
             return np.array(sim[0]), float(fsim[0]), iteration < max_iterations
         # rows added left to right, as numpy's axis-0 reduce adds them (sum() may compensate)
@@ -342,11 +341,11 @@ def _optimise_3d(centred, config, extra):
     starts += extra
 
     # each run's first probe is its start, and its best vertex never rises above it
-    runs = [_nelder_mead(x0, config.max_iterations, 1e-8, TOLERANCE) for x0 in starts]
+    runs = [_nelder_mead(x0, config.max_iterations) for x0 in starts]
     polished = yield from _lockstep(runs, lambda mrps: (centred, np.array(mrps)))
     # the smallest variance wins, then the smallest rotation angle
-    mrp, variance, converged = min(polished, key=lambda r: (r[1], Rotation(r[0]).angle))
-    return Rotation(mrp), variance, converged
+    mrp, _, converged = min(polished, key=lambda r: (r[1], Rotation(r[0]).angle))
+    return Rotation(mrp), converged
 
 
 def _fibonacci_axes(m: int) -> np.ndarray:

@@ -206,8 +206,8 @@ def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Part
 
     Each recursion level bisects every cell once per dimension, in
     ``cycle_order`` (defaults to 0, 1, ..., d-1).  The support is the tight
-    closed bounding box of the samples; requires N >= 2**(depth*d) so every
-    leaf holds at least one sample.
+    closed bounding box of the samples, the kernel's root box; requires
+    N >= 2**(depth*d) so every leaf holds at least one sample.
     """
     depth, order = split_schedule(samples, depth, cycle_order)
     if samples.d == 2 and depth > MAX_RECOMMENDED_BIVARIATE_DEPTH:
@@ -218,7 +218,8 @@ def build_equiprobable(samples: SampleSet, depth: int, cycle_order=None) -> Part
             stacklevel=2,
         )
     lower, upper, counts = leaf_boxes(np.ascontiguousarray(samples.data.T)[None], depth, order)
-    support = np.array([samples.data.min(axis=0), samples.data.max(axis=0)])
+    # no split moves the first leaf's lower corner or the last leaf's upper one
+    support = np.array([lower[0, 0], upper[0, -1]])
     return Partition(lower[0], upper[0], counts, depth, samples.d, order, support)
 
 

@@ -393,6 +393,17 @@ class TestDumpPartitionCommand:
         doc = run_json(capsys, ["dump-partition", "--input", path, "--depth", "1"])
         assert json.dumps(doc["support"]) == '{"lower": [-0.0, 0.0], "upper": [3.0, 3.0]}'
 
+    def test_support_is_the_outer_bins_faces_as_text(self, capsys, tmp_path):
+        # column 0 is all zeros, -0.0 in the third row: the rows' and the
+        # columns' reductions can disagree on that zero's sign, so the support
+        # must be the outer bins' faces themselves
+        rows = [[-0.0 if i == 2 else 0.0, float(i)] for i in range(9)]
+        path = write_csv(tmp_path / "zeros.csv", rows)
+        doc = run_json(capsys, ["dump-partition", "--input", path, "--depth", "1"])
+        support, bins = doc["support"], doc["bins"]
+        assert json.dumps(support["lower"]) == json.dumps(bins[0]["lower"])
+        assert json.dumps(support["upper"]) == json.dumps(bins[-1]["upper"])
+
     @pytest.mark.parametrize("rotate", [False, True])
     @pytest.mark.parametrize("kind", ["2-D", "3-D", "one-decimal", "signed-zero"])
     def test_dump_loads_back_unchanged(self, capsys, tmp_path, kind, rotate):

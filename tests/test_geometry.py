@@ -221,15 +221,12 @@ class TestRotate:
             twice = rotate(rotate(s, mrp_from_angle_2d(t1)), mrp_from_angle_2d(t2))
             assert np.abs(once.data - twice.data).max() < 1e-9
 
-    def test_one_dimensional_identity(self):
-        s = SampleSet([[1.0], [2.0], [6.0]])
-        out = rotate(s, Rotation.identity())
-        assert np.allclose(out.data, s.data - s.barycentre)
-
     def test_dimension_mismatch(self):
         s2 = SampleSet([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(PreconditionError):
             rotate(s2, Rotation(np.array([0.2, 0.0, 0.0])))
-        s4 = SampleSet(np.zeros((3, 4)) + np.arange(3)[:, None])
-        with pytest.raises(PreconditionError):
-            rotate(s4, Rotation.identity())
+        # rotation_matrices alone decides which dimensions rotate: 1-D as 4-D
+        for d in (1, 4):
+            s = SampleSet(np.zeros((3, d)) + np.arange(3)[:, None])
+            with pytest.raises(PreconditionError, match=f"d in {{2, 3}}, got d={d}$"):
+                rotate(s, Rotation.identity())

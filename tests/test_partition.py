@@ -59,6 +59,11 @@ def per_cell_leaf_boxes(points, depth, order):
     return lower, upper, np.array([idx.shape[1] for _, _, idx in cells])
 
 
+# oracle outputs by (d, N, kind, A, order, depth): the split paths must agree
+# bit for bit, so one per-cell oracle serves the default path and both forced ones
+PER_CELL_ORACLES = {}
+
+
 class TestLeafBoxes:
     @pytest.mark.parametrize("kind", ["continuous", "one-decimal", "signed-zero"])
     @pytest.mark.parametrize("n", [65, 100, 341, 512, 1000, 1023, 1024])
@@ -80,8 +85,10 @@ class TestLeafBoxes:
             for order in permutations(range(d)):
                 for depth in range((n.bit_length() - 1) // d + 1):
                     got = leaf_boxes(points, depth, order)
-                    want = per_cell_leaf_boxes(points, depth, order)
-                    for g, w in zip(got, want):
+                    key = (d, n, kind, a, order, depth)
+                    if key not in PER_CELL_ORACLES:
+                        PER_CELL_ORACLES[key] = per_cell_leaf_boxes(points, depth, order)
+                    for g, w in zip(got, PER_CELL_ORACLES[key]):
                         assert (g.shape, g.dtype) == (w.shape, w.dtype)
                         assert g.tobytes() == w.tobytes()
                     assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
@@ -267,6 +274,20 @@ class TestBuildEquiprobable:
         assert p.bin_count == 2 ** (depth * d)
         total = bin_volumes(p).sum()
         assert total == pytest.approx(np.prod(p.support[1] - p.support[0]), rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_support_is_the_root_box_bit_for_bit(self, d):
+        # zeros of both signs: the first leaf's lower corner and the last leaf's
+        # upper one are the kernel's root box, and the support must be that box,
+        # each zero's sign included; a second reduction of the rows can disagree
+        # on the sign (on an AVX-512 host, for about one sample in eight at N=9)
+        for n in (8, 9, 16, 100):
+            for depth in range(min(2, (n.bit_length() - 1) // d) + 1):
+                for seed in range(40):
+                    rng = np.random.default_rng([d, n, depth, seed])
+                    data = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(n, d))
+                    p = build_equiprobable(SampleSet(data), depth)
+                    assert p.support.tobytes() == np.array([p.lower[0], p.upper[-1]]).tobytes()
 
     def test_exact_multiple_counts_equal(self):
         rng = np.random.default_rng(42)
@@ -462,6 +483,14 @@ class TestSerialization:
         assert np.array_equal(bin_volumes(q), bin_volumes(p))
         assert np.array_equal(q.lower, p.lower)
         assert np.array_equal(q.upper, p.upper)
+
+    def test_support_check_is_blind_to_a_zeros_sign(self):
+        # a document from elsewhere may reduce its support otherwise than the kernel
+        p = build_equiprobable(SampleSet([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), 1)
+        doc = json.loads(json.dumps(partition_to_dict(p)))
+        doc["support"]["lower"] = [-0.0, -0.0]
+        q = partition_from_dict(doc)
+        assert np.signbit(q.support[0]).all() and not np.signbit(q.lower[0]).any()
 
     def test_malformed_document(self):
         with pytest.raises(PreconditionError):
