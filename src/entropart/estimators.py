@@ -18,7 +18,7 @@ comparison studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -130,17 +130,13 @@ def entropy_naive(samples: SampleSet, bins_per_dim: int) -> EntropyEstimate:
     """
     require_int(1, bins_per_dim=bins_per_dim)
     k = int(bins_per_dim)
-    lower, upper = samples.data.min(axis=0), samples.data.max(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by name
-        widths = upper - lower
-        cell_volume = float(np.prod(widths / k))
-    if np.any(widths == 0.0):
-        raise PreconditionError("zero-width support dimension; equal-width cells are degenerate")
-    _require_representable(cell_volume)
-    counts, _ = np.histogramdd(samples.data, bins=k, range=list(zip(lower, upper)))
-    total = k**samples.d
-    value = entropy_histogram(counts.ravel(), np.full(total, cell_volume), samples.n)
-    return EntropyEstimate(value=value, method=METHOD_NAIVE, depth=k, bin_count=total)
+
+    def grid(lower, upper):
+        # the edges np.histogramdd(bins=k, range=...) builds, so counts match it bit for bit
+        edges = [np.linspace(lo, hi, k + 1) for lo, hi in zip(lower, upper)]
+        return edges, np.full(k**samples.d, float(np.prod((upper - lower) / k)))
+
+    return _grid_estimate(samples, k, METHOD_NAIVE, "equal-width cells", grid)
 
 
 def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> EntropyEstimate:
@@ -153,41 +149,41 @@ def entropy_marginal_equiquantised(samples: SampleSet, bins_per_dim: int) -> Ent
     """
     require_int(1, bins_per_dim=bins_per_dim)
     k = int(bins_per_dim)
-    n, d = samples.n, samples.d
+    n = samples.n
     if n < k:
         raise PreconditionError(f"N={n} < bins_per_dim={k}; too few samples to quantise")
+    ranks = -(-n * np.arange(1, k) // k)  # ceil(n*j/k), j = 1..k-1
+
+    def grid(lower, upper):
+        srt = np.sort(samples.data, axis=0)
+        cuts = 0.5 * (srt[ranks - 1] + srt[ranks])
+        edges = [np.unique(np.concatenate(([lo], c, [hi]))) for lo, c, hi in zip(lower, cuts.T, upper)]
+        volumes = np.array([1.0])
+        for e in edges:
+            volumes = np.multiply.outer(volumes, np.diff(e))
+        return edges, volumes
+
+    return _grid_estimate(samples, k, METHOD_MARGINAL, "quantile slabs", grid)
+
+
+def _grid_estimate(samples: SampleSet, k: int, method: str, cells: str, grid) -> EntropyEstimate:
+    """Estimate over the product grid of the edges and cell volumes ``grid(lower, upper)`` gives.
+
+    A zero-width dimension, and cells that over- or underflow float64, are
+    raised by name before any point is counted; cells that duplicate edges
+    merged away are reported as ``degenerate_bins``.
+    """
     lower, upper = samples.data.min(axis=0), samples.data.max(axis=0)
-    if np.any(upper - lower == 0.0):
-        raise PreconditionError("zero-width support dimension; quantile slabs are degenerate")
-
-    edges_per_dim = []
-    volumes = np.array([1.0])
-    with np.errstate(over="ignore"):  # an overflow is raised below, by name
-        for dim in range(d):
-            srt = np.sort(samples.data[:, dim])
-            ranks = -(-n * np.arange(1, k) // k)  # ceil(n*j/k), j = 1..k-1
-            cuts = 0.5 * (srt[ranks - 1] + srt[ranks])
-            edges = np.unique(np.concatenate(([lower[dim]], cuts, [upper[dim]])))
-            edges_per_dim.append(edges)
-            volumes = np.multiply.outer(volumes, np.diff(edges))
-    _require_representable(volumes)
-
-    counts, _ = np.histogramdd(samples.data, bins=edges_per_dim)
-    value = entropy_histogram(counts, volumes, n)
-    return EntropyEstimate(
-        value=value,
-        method=METHOD_MARGINAL,
-        depth=k,
-        bin_count=k**d,
-        degenerate_bins=k**d - counts.size,
-    )
-
-
-def _require_representable(volumes) -> None:
-    """Raise by name where grid cells, every one of positive width, over- or underflowed float64."""
+    if np.any(upper == lower):
+        raise PreconditionError(f"zero-width support dimension; {cells} are degenerate")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by name
+        edges, volumes = grid(lower, upper)
     require_finite_volumes(volumes)
-    if np.any(volumes == 0.0):
+    if np.any(volumes == 0.0):  # every width is positive
         raise DegeneratePartitionError(_UNDERFLOW)
+    counts, _ = np.histogramdd(samples.data, bins=edges)
+    value = entropy_histogram(counts, volumes, samples.n)
+    return EntropyEstimate(value, method, k, k**samples.d, degenerate_bins=k**samples.d - counts.size)
 
 
 def winsorise(samples: SampleSet, k_sigma: float = 3.0) -> SampleSet:
@@ -195,19 +191,18 @@ def winsorise(samples: SampleSet, k_sigma: float = 3.0) -> SampleSet:
     if not 0 < k_sigma < np.inf:  # also rejects NaN; inf would clip a constant column to NaN
         raise PreconditionError(f"k_sigma must be positive and finite, got {k_sigma!r}")
     mean = samples.barycentre
-    std = samples.data.std(axis=0)
-    return SampleSet._adopt(np.clip(samples.data, mean - k_sigma * std, mean + k_sigma * std))
+    with np.errstate(over="ignore"):  # an infinite spread is raised below; an infinite reach clips nothing
+        std = samples.data.std(axis=0)
+        low, high = mean - k_sigma * std, mean + k_sigma * std
+    if not np.isfinite(std).all():
+        raise DegeneratePartitionError("sample standard deviation overflows float64; rescale the samples")
+    return SampleSet._adopt(np.clip(samples.data, low, high))
 
 
 def ensemble_estimate(samples: SampleSet, depth: int) -> EntropyEstimate:
     """Mean equiprobable entropy over the partitions built with every cyclic shift of 0..d-1."""
     d = samples.d
     orders = [[(i + j) % d for j in range(d)] for i in range(d)]
-    values = [entropy_equiprobable(build_equiprobable(samples, depth, o)) for o in orders]
-    return EntropyEstimate(
-        value=float(np.mean(values)),
-        method=METHOD_ENSEMBLE,
-        depth=depth,
-        bin_count=2 ** (depth * samples.d),
-    )
+    estimates = [partition_estimate(build_equiprobable(samples, depth, o), METHOD_ENSEMBLE) for o in orders]
+    return replace(estimates[0], value=float(np.mean([e.value for e in estimates])))
 

@@ -441,6 +441,11 @@ class TestDumpPartitionCommand:
         (["estimate", "--method", "marginal", "--bins-per-dim", "4"], "bin volumes overflow"),
         # the eigenvector start fails first, on the covariance, not on an MRP
         (["estimate", "--method", "rotated", "--depth", "2"], "sample covariance overflows"),
+        # winsorising runs before any estimator, and its spread overflows first
+        (
+            ["estimate", "--method", "equiprobable", "--depth", "1", "--winsorise", "3"],
+            "sample standard deviation overflows",
+        ),
     ],
 )
 def test_overflowing_volumes_exit_3_with_one_line(capsys, huge_csv, argv, message):
@@ -474,6 +479,16 @@ def test_underflowing_equiprobable_volumes_exit_3_by_name(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "error: precondition: bin volumes underflow float64; rescale the samples\n"
+
+
+def test_marginal_over_a_range_past_float64_is_not_an_error(capsys, tmp_path):
+    # x spans about 2e308, past float64, but every slab and cell volume is finite
+    rows = [[-1e308, 0.0], [-0.5e308, 1.0], [0.5e308, 2.0], [1e308, 3.0]]
+    path = write_csv(tmp_path / "extreme.csv", rows)
+    code = main(["estimate", "--method", "marginal", "--bins-per-dim", "2", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["entropy_bits"] == pytest.approx(1.0 + np.log2(1.5e308), rel=1e-12)
 
 
 def test_overflowing_mean_exits_3_without_a_second_parse(capsys, tmp_path, monkeypatch):

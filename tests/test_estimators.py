@@ -1,3 +1,4 @@
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -208,6 +209,31 @@ class TestEntropyNaive:
         with pytest.raises(PreconditionError, match="zero-width"):
             entropy_naive(SampleSet([[0.0, 1.0], [0.0, 2.0]]), 2)
 
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_counts_match_histogramdd_over_the_range(self, monkeypatch, k, d, integer_valued):
+        # the grid is counted on explicit edges; they must be the ones numpy
+        # builds from bins=k and a range, points on interior edges included
+        rng = np.random.default_rng(100 * k + d)
+        if integer_valued:
+            data = rng.integers(0, 5 * k + 1, size=(300, d)).astype(float)
+            data[:2] = [[0.0] * d, [5.0 * k] * d]  # interior edges at multiples of 5
+        else:
+            data = rng.normal(size=(300, d)) * rng.uniform(0.1, 10.0, size=d)
+        seen = []
+        histogramdd = np.histogramdd
+
+        def spy(*args, **kwargs):
+            seen.append(histogramdd(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(np, "histogramdd", spy)
+        entropy_naive(SampleSet(data), k)
+        want, _ = histogramdd(data, bins=k, range=list(zip(data.min(axis=0), data.max(axis=0))))
+        [(counts, _)] = seen
+        assert counts.shape == want.shape and np.array_equal(counts, want)
+
 
 class TestEntropyMarginalEquiquantised:
     def test_hand_evaluated_1d(self):
@@ -243,6 +269,16 @@ class TestEntropyMarginalEquiquantised:
     def test_too_few_samples(self):
         with pytest.raises(PreconditionError):
             entropy_marginal_equiquantised(SampleSet([[0.0, 1.0], [1.0, 0.0]]), 3)
+
+    def test_range_past_float64_is_not_an_error(self):
+        # x spans about 2e308, past float64, but every slab and cell volume is finite
+        x = [-1e308, -0.5e308, 0.5e308, 1e308]
+        s = SampleSet(np.column_stack([x, [0.0, 1.0, 2.0, 3.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = entropy_marginal_equiquantised(s, 2)
+        # two points in each of two cells of volume 1e308 * 1.5: log2(2 * 1.5e308)
+        assert est.value == pytest.approx(1.0 + np.log2(1.5e308), rel=1e-12)
 
 
 @pytest.mark.parametrize("estimator", [entropy_naive, entropy_marginal_equiquantised])
@@ -288,6 +324,20 @@ class TestWinsorise:
         with pytest.raises(PreconditionError):
             winsorise(SampleSet([[0.0], [1.0]]), 0.0)
 
+    def test_overflowing_spread_is_raised_by_name(self):
+        # from about 1e155 the squared deviations overflow; an infinite std clips nothing
+        data = np.random.default_rng(56).normal(size=(100, 2))
+        data[:, 0] *= 1e160
+        with pytest.raises(DegeneratePartitionError, match="^sample standard deviation overflows float64"):
+            winsorise(SampleSet(data), 3.0)
+
+    def test_reach_past_float64_clips_nothing(self):
+        data = np.random.default_rng(56).normal(size=(50, 2)) * 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = winsorise(SampleSet(data), 1e200)
+        assert np.array_equal(out.data, data)
+
     def test_rejects_infinite_k_by_name(self):
         # inf * (zero spread) would make the constant column's clip bounds NaN
         with pytest.raises(PreconditionError, match="k_sigma"):
@@ -309,6 +359,13 @@ class TestEnsemble:
         est = ensemble_estimate(s, 1)
         assert est.value == pytest.approx((h01 + h10) / 2.0, abs=1e-12)
         assert est.method == "ensemble"
+
+    def test_depth_and_bin_count_come_from_the_partition(self):
+        s = SampleSet(np.random.default_rng(59).normal(size=(32, 3)))
+        est = ensemble_estimate(s, np.int64(1))
+        partition = build_equiprobable(s, 1)
+        assert type(est.depth) is int and est.depth == partition.depth == 1
+        assert type(est.bin_count) is int and est.bin_count == partition.bin_count == 8
 
 
 class TestScalingAndTranslation:
