@@ -125,10 +125,7 @@ def _parse_lines(path: str, has_header: bool) -> SampleSet:
             ) from None
         raise  # the file changed between the two reads
     rows = []
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        if has_header and lineno == 1:
-            continue
+    for lineno, line in enumerate(lines[has_header:], start=1 + has_header):
         stripped = line.strip()
         if not stripped:
             if lineno == len(lines):
@@ -140,10 +137,8 @@ def _parse_lines(path: str, has_header: bool) -> SampleSet:
             raise CsvParseError(f"line {lineno}: non-numeric field in {stripped!r}") from None
         if not all(map(math.isfinite, row)):
             raise CsvParseError(f"line {lineno}: non-finite value")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise CsvParseError(f"line {lineno}: expected {width} columns, found {len(row)}")
+        if rows and len(row) != len(rows[0]):
+            raise CsvParseError(f"line {lineno}: expected {len(rows[0])} columns, found {len(row)}")
         rows.append(row)
     if not rows:
         raise CsvParseError("no data rows")

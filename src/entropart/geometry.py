@@ -102,7 +102,8 @@ class Rotation:
     @property
     def angle(self) -> float:
         """Rotation angle in radians, in [0, 2*pi)."""
-        return float(4.0 * np.arctan(np.linalg.norm(self.mrp)))
+        with np.errstate(over="ignore"):  # an infinite norm is a whole turn: angle 0
+            return normalize_angle(4.0 * np.arctan(np.linalg.norm(self.mrp)))
 
 
 def normalize_angle(theta):

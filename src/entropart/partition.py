@@ -167,12 +167,11 @@ def leaf_boxes(points: np.ndarray, depth: int, order, workspace: Workspace | Non
         if j < len(schedule):  # the leaves need no index rows
             kids = np.ndarray((c, 2, a, k), np.intp, val_buf)  # (cell, side, set, entry)
             for goes, out in ((~right, kids[:, 0]), (right, kids[:, 1, :, : m - k])):
-                # take would copy into a strided side through a new array: gather it in the
-                # third buffer, past the mask, instead (copyto skips copying out to itself)
+                # take would copy into a strided side through a new array: gather each
+                # side in the third buffer, past the mask, and copy it into place
                 past = np.ndarray(out.shape, np.intp, scratch, scratch.nbytes // 2)
-                into = out if out.flags.c_contiguous else past
-                idx.take(goes.ravel().nonzero()[0].reshape(out.shape), out=into, mode="clip")
-                np.copyto(out, into)
+                idx.take(goes.ravel().nonzero()[0].reshape(out.shape), out=past, mode="clip")
+                np.copyto(out, past)
             idx, idx_buf, val_buf = kids.reshape(-1, k), val_buf, idx_buf
         short, m = short.repeat(2), k  # odd: every right child is short; even: no left child is
         short[odd::2] = odd
@@ -232,11 +231,10 @@ def box_volumes(lower, upper, normalize: bool = False) -> np.ndarray:
     """Volumes of boxes (..., B, d), raw or divided by their total over B; raises if not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by name
         widths = upper - lower
-        d = widths.shape[-1]
-        # d-1 column multiplies, left to right as prod's reduce, without its per-row
+        # column multiplies from 1.0, left to right as prod's reduce, without its per-row
         # cost; a 0-D document's one box has volume 1, the empty product
-        vols = widths[..., 0].copy() if d else np.ones(widths.shape[:-1])
-        for dim in range(1, d):
+        vols = np.ones(widths.shape[:-1])
+        for dim in range(widths.shape[-1]):
             vols *= widths[..., dim]
         total = vols.sum(axis=-1, keepdims=True) if normalize else vols
     require_finite_volumes(total)

@@ -47,6 +47,17 @@ class TestCovarianceSpec:
         with pytest.raises(PreconditionError):
             CovarianceSpec(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (np.ones((2, 3)), "covariance must be a square matrix"),
+            ([[1.0, np.nan], [np.nan, 1.0]], "covariance must be finite"),
+        ],
+    )
+    def test_rejects_a_malformed_matrix_by_name(self, sigma, message):
+        with pytest.raises(PreconditionError, match=message):
+            CovarianceSpec(sigma)
+
     def test_rejects_near_singular(self):
         with pytest.raises(PreconditionError):
             CovarianceSpec(np.diag([0.05, 0.05]))  # det below the floor
@@ -80,6 +91,12 @@ class TestRandomCovariance:
             rho = sigma[0, 1] / math.sqrt(sigma[0, 0] * sigma[1, 1])
             high += abs(rho) > 0.9
         assert high > 0
+
+    def test_gives_up_by_name_when_no_draw_clears_the_floor(self, monkeypatch):
+        monkeypatch.setattr(entropart.benchmark, "DET_FLOOR", 1e300)
+        message = "^no covariance above the determinant floor in 1000 draws$"
+        with pytest.raises(PreconditionError, match=message):
+            random_covariance(np.random.default_rng(0))
 
     def test_deterministic_sequence(self):
         first = [random_covariance(np.random.default_rng(7)).sigma for _ in range(1)]
@@ -123,6 +140,10 @@ class TestBootstrap:
         a = bootstrap_ci_lower(diffs, rng=np.random.default_rng(10))
         b = bootstrap_ci_lower(diffs, rng=np.random.default_rng(10))
         assert a == b
+
+    def test_default_stream_is_seed_zero(self):
+        diffs = np.random.default_rng(11).normal(size=50)
+        assert bootstrap_ci_lower(diffs) == bootstrap_ci_lower(diffs, rng=np.random.default_rng(0))
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):

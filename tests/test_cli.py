@@ -103,6 +103,10 @@ class TestReadCsv:
             ("1,2\n3,4\nnan,5\n6,7\n\n8,9\n", False, "line 3: non-finite value"),
             ("1,2\n3,4,5\n", False, "line 2: expected 2 columns, found 3"),
             ("1,2\n3,x\n", False, "line 2: non-numeric field in '3,x'"),
+            # a header line still counts: numbering starts past it, not from it
+            ("x,y\n1,2\n3,x\n", True, "line 3: non-numeric field in '3,x'"),
+            ("x,y\n1,2\n3,4,5\n", True, "line 3: expected 2 columns, found 3"),
+            ("x,y\n1_0,2\n\n3,4\n", True, "line 3: empty line"),
         ],
     )
     def test_rejects_with_first_bad_line(self, tmp_path, text, has_header, message):
@@ -122,6 +126,8 @@ class TestReadCsv:
             ("x,y\r\n 1 , 2\r\n3,\t4 \r\n", True, [[1, 2], [3, 4]]),  # CRLF, padded fields
             ("1,2\r3,4\r", False, [[1, 2], [3, 4]]),  # lone CR ends a line in text mode
             ("1_000,٣\n5,6\n", False, [[1000, 3], [5, 6]]),  # spellings only float() reads
+            ("1_0,2\n3,4\n\n", False, [[10, 2], [3, 4]]),  # line by line, one trailing blank
+            ("x,y\n1_0,2\n3,4\n", True, [[10, 2], [3, 4]]),  # line by line, past a header
         ],
     )
     def test_accepts(self, tmp_path, text, has_header, expected):
@@ -282,6 +288,13 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: usage:")
+
+    def test_non_integer_cycle_order_is_one_usage_line(self, capsys, corners_csv):
+        argv = ["estimate", "--input", corners_csv, "--method", "equiprobable", "--depth", "1"]
+        code = main([*argv, "--cycle-order", "a,b"])
+        assert code == 2
+        expected = "error: usage: --cycle-order must be comma-separated integers, got 'a,b'\n"
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize(
         "method, flag, other",

@@ -64,6 +64,9 @@ class TestEntropyHistogram:
         value = entropy_histogram([2, 2], [0.5, 0.0], 4)
         assert np.isfinite(value)
 
+    def test_only_zero_volume_occupied_bins_give_zero(self):
+        assert entropy_histogram([0, 3], [1.0, 0.0], 3) == 0.0
+
     def test_overflowing_density_rejected_by_name(self):
         # a subnormal volume whose density n/(N*v) is past float64; RuntimeWarnings
         # are errors here, so the overflow is also silent

@@ -41,6 +41,18 @@ class TestSampleSet:
         with pytest.raises(PreconditionError):
             SampleSet([[0.0, np.inf]])
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (np.zeros((2, 2, 2)), "sample data must be a 2-D matrix"),
+            (np.zeros((0, 2)), "at least one row and one column"),
+            (np.zeros((3, 0)), "at least one row and one column"),
+        ],
+    )
+    def test_rejects_a_shape_by_name(self, data, message):
+        with pytest.raises(PreconditionError, match=message):
+            SampleSet(data)
+
     def test_rejects_an_overflowing_mean(self):
         # finite samples whose sum passes float64's limit; RuntimeWarnings are
         # errors here, so the overflow is also silent
@@ -85,6 +97,26 @@ class TestMrpFromAngle:
         thetas = np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)
         for theta in thetas:
             assert mrp_from_angle_2d(theta).angle == pytest.approx(theta, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "mrp, message",
+        [
+            ([1.0, 2.0], "MRP must be a 3-vector"),
+            ([0.0, 0.0, np.inf], "MRP must be finite"),
+            ([0.0, 0.0, np.nan], "MRP must be finite"),
+        ],
+    )
+    def test_rotation_rejects_a_bad_mrp_by_name(self, mrp, message):
+        with pytest.raises(PreconditionError, match=message):
+            Rotation(mrp)
+
+    @pytest.mark.parametrize("mrp", [[0.0, 0.0, 1e17], [1e300, 0.0, 0.0]])
+    def test_angle_of_a_huge_mrp_is_a_whole_turn(self, mrp):
+        # 4*arctan of a norm this large rounds to 2*pi, and the second norm
+        # overflows; RuntimeWarnings are errors here, so neither may warn
+        angle = Rotation(mrp).angle
+        assert angle == 0.0
+        assert type(angle) is float
 
     def test_rotation_needs_its_mrp(self):
         # the identity is spelt Rotation.identity() only

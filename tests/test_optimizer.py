@@ -268,6 +268,22 @@ class TestOptimise3d:
         assert len(starts) == 17
         assert [requested.count(x.tobytes()) for x in starts] == [1] * 17
 
+    def test_no_eigenvector_start_when_the_leading_axis_is_x(self, monkeypatch):
+        # the leading covariance eigenvector is exactly the x-axis, so no rotation
+        # aligns it and the first round evaluates the 16 default starts alone
+        axes = np.diag([3.0, 2.0, 1.0])
+        s = SampleSet(np.concatenate([axes, -axes, axes / 2.0, -axes / 2.0]))
+        assert _eigenvector_mrps_3d(s) == []
+        rounds, variances = [], entropart.optimizer._variances
+
+        def recording(requests, *args):
+            rounds.append(sum(len(mrps) for _, mrps in requests))
+            return variances(requests, *args)
+
+        monkeypatch.setattr(entropart.optimizer, "_variances", recording)
+        optimise_rotation(s, 1)
+        assert rounds[0] == 16
+
     def test_every_probe_of_a_default_search_is_pinned(self, monkeypatch):
         # SEEDED_3D pins winners only; this pins, in order, each MRP a default
         # search asks the kernel for and each variance it gets back, on the
