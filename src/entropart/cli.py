@@ -162,10 +162,7 @@ def _load_input(args) -> SampleSet:
 
 
 def _rotation_fields(rot) -> dict:
-    return {
-        "rotation_angle_rad": rot.angle,
-        "rotation_mrp": rot.mrp.tolist(),
-    }
+    return {"rotation_angle_rad": rot.angle, "rotation_mrp": rot.mrp.tolist()}
 
 
 def _cmd_estimate(args) -> int:
@@ -217,16 +214,11 @@ def _cmd_benchmark(args) -> int:
 def _cmd_dump_partition(args) -> int:
     samples = _load_input(args)
     cycle_order = _parse_cycle_order(args.cycle_order)
-    doc_extra = {}
     if args.rotate:
         rot, evaluation = optimise_rotation(samples, args.depth, cycle_order=cycle_order)
-        partition = evaluation.partition
-        doc_extra = _rotation_fields(rot)
+        doc = {**partition_to_dict(evaluation.partition), "n": samples.n, **_rotation_fields(rot)}
     else:
-        partition = build_equiprobable(samples, args.depth, cycle_order)
-    doc = partition_to_dict(partition)
-    doc["n"] = samples.n
-    doc.update(doc_extra)
+        doc = {**partition_to_dict(build_equiprobable(samples, args.depth, cycle_order)), "n": samples.n}
     print(json.dumps(doc, indent=2))
     return 0
 

@@ -125,16 +125,21 @@ def entropy_naive(samples: SampleSet, bins_per_dim: int) -> EntropyEstimate:
     """Entropy from an equal-width grid of ``bins_per_dim**d`` cells.
 
     The grid spans the samples' bounding box, from ``data.min(axis=0)`` to
-    ``data.max(axis=0)``; a cell volume that overflows or underflows float64
-    raises :class:`DegeneratePartitionError`.
+    ``data.max(axis=0)``, also where that span is past float64; a cell volume
+    that overflows or underflows float64 raises :class:`DegeneratePartitionError`.
     """
     require_int(1, bins_per_dim=bins_per_dim)
     k = int(bins_per_dim)
 
     def grid(lower, upper):
-        # the edges np.histogramdd(bins=k, range=...) builds, so counts match it bit for bit
-        edges = [np.linspace(lo, hi, k + 1) for lo, hi in zip(lower, upper)]
-        return edges, np.full(k**samples.d, float(np.prod((upper - lower) / k)))
+        # the edges np.histogramdd(bins=k, range=...) builds, so counts match it bit for bit;
+        # where upper - lower overflows, the edges are lower + j*width to upper, width
+        # upper/k - lower/k, at half scale (which rounds alike) so j*width cannot overflow
+        widths, edges = (upper - lower) / k, [np.linspace(lo, hi, k + 1) for lo, hi in zip(lower, upper)]
+        for i in (~np.isfinite(widths)).nonzero()[0]:
+            widths[i] = upper[i] / k - lower[i] / k
+            edges[i] = np.append(2.0 * (lower[i] / 2.0 + np.arange(k) * (widths[i] / 2.0)), upper[i])
+        return edges, np.full(k**samples.d, float(np.prod(widths)))
 
     return _grid_estimate(samples, k, METHOD_NAIVE, "equal-width cells", grid)
 

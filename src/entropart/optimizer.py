@@ -13,16 +13,17 @@ minima: kinks appear wherever a rotation reorders sample coordinates, and
 competitive basins can be a few milliradians wide.  Alignment is therefore
 derivative-free and deliberately dense in 2-D: a deterministic uniform angle
 scan locates the candidate basins and golden-section polishes the best of
-them.  3-D alignment runs multi-start Nelder-Mead over the MRP vector, its
-simplex bookkept on Python floats in the arithmetic of scipy's reference.  Both
-searches advance all their local runs in lock-step, so every round of probes
-is one batched call of the partition kernel, and so can the searches of sample
-sets of one size.  Everything is deterministic; there is no randomness in the
-optimizer.
+them.  In 3-D the scan is the identity and a super-Fibonacci spiral over SO(3)
+(Alexa, CVPR 2022), and golden-section sweeps over each coordinate plane's
+Givens angle, as in RADICAL (Learned-Miller & Fisher, JMLR 2003), polish its
+best points.  Both searches advance all their local runs in lock-step, so every
+round of probes is one batched call of the partition kernel, and so can the
+searches of sample sets of one size.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -36,6 +37,7 @@ from .geometry import (
     SampleSet,
     centre,
     mrp_from_angle_2d,
+    mrp_from_matrix,
     normalize_angle,
     rotate,
     rotation_matrices,
@@ -50,14 +52,16 @@ from .partition import (
 )
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_PSI = 1.5337511687552043  # the root of psi**4 = psi + 4 that spaces the super-Fibonacci spiral
 
 # rotated points per kernel call in either search: a batch holds
 # max(1, BATCH_SAMPLES // N) angles, which bounds its memory at any N
 BATCH_SAMPLES = 2**14
 
-# a local run (golden-section, or Nelder-Mead as its fatol) stops when its variances agree this far
+# a golden-section run stops when its variances agree this far
 TOLERANCE = 1e-10
-X_TOLERANCE = 1e-8  # a Nelder-Mead run also waits for its vertices to agree this far (xatol)
+# the 3-D polish: at most this many seeds and golden-section steps per plane, and its sweeps
+SEEDS_3D, STEPS_3D, SWEEPS_3D = 4, 10, 2
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,16 @@ class OptimizerConfig:
     """Derivative-free search settings.
 
     In 2-D, ``scan_points`` equispaced angles are evaluated first and the
-    ``starts`` best distinct local basins are polished by golden-section;
-    the scan density is what guarantees global quality against the many
-    narrow minima of the objective.  ``eigenvector_start`` additionally
-    seeds from the orientations aligning the leading sample-covariance
-    eigenvector with a coordinate axis.  In 3-D, ``starts`` seeds
-    Nelder-Mead runs over the MRP vector.  Either way the local runs (polish
-    or Nelder-Mead) advance in lock-step, one batched evaluation per round.
+    ``starts`` best distinct local basins are polished by golden-section of
+    up to ``max_iterations`` steps; the scan density is what guarantees
+    global quality against the many narrow minima of the objective.
+    ``eigenvector_start`` additionally seeds from the orientations aligning
+    the leading sample-covariance eigenvector with a coordinate axis.  In 3-D
+    the scan is the identity and ``2 * scan_points - 1`` super-Fibonacci
+    rotations; its ``starts`` best, at most ``SEEDS_3D``, seed ``SWEEPS_3D``
+    sweeps of up to ``max_iterations`` (at most ``STEPS_3D``) golden-section
+    steps on each coordinate plane's Givens angle; ``eigenvector_start`` is
+    unused.  Local runs advance in lock-step, one batched evaluation a round.
     """
 
     starts: int = 16
@@ -110,9 +117,8 @@ def optimise_rotation(
     Returns ``(rotation, evaluation)``: :func:`volume_variance` at the winning
     orientation, whose variance is bit for bit the one the search found, and
     whether the winning local run met its tolerance.  The result never exceeds
-    the objective at any start point (a 3-D run's best vertex never rises above
-    its start); exact ties are broken toward the smallest rotation angle so
-    results are reproducible.
+    the objective at any scan point, the identity among them in 3-D; exact ties
+    are broken toward the smallest rotation angle so results are reproducible.
     """
     return optimise_rotations([samples], depth, config, cycle_order)[0]
 
@@ -134,9 +140,12 @@ def optimise_rotations(sample_sets, depth: int, config=None, cycle_order=None) -
             raise PreconditionError("sample sets searched together must share N and d")
         depth, order = split_schedule(samples, depth, cycle_order)
         centred = centre(samples)  # leaf_boxes needs finite points
-        seeds = _eigenvector_angles_2d if samples.d == 2 else _eigenvector_mrps_3d
-        extra = seeds(samples) if config.eigenvector_start and samples.n >= 2 else []
-        searches.append((_optimise_2d if samples.d == 2 else _optimise_3d)(centred, config, extra))
+        if samples.d == 3:
+            searches.append(_optimise_3d(centred, config))
+        else:
+            eigen = config.eigenvector_start and samples.n >= 2
+            extra = _eigenvector_angles_2d(samples) if eigen else []
+            searches.append(_optimise_2d(centred, config, extra))
     workspace = Workspace()
     results = _drive(_lockstep(searches), lambda r: _variances(r, depth, order, workspace))
     return [
@@ -215,18 +224,13 @@ def _best_basin_seeds(values, angles, starts: int) -> list[float]:
     return angles[minima[:starts]].tolist()
 
 
-def _leading_eigenvector(samples) -> np.ndarray:
-    """The eigenvector of the sample covariance with the largest eigenvalue."""
+def _eigenvector_angles_2d(samples) -> list[float]:
+    """Rotations aligning the leading sample-covariance eigenvector with each axis."""
     with np.errstate(over="ignore", invalid="ignore"):  # raised below, by name
         cov = np.cov(samples.data.T)
     if not np.isfinite(cov).all():
         raise PreconditionError("sample covariance overflows float64; rescale the samples")
-    return np.linalg.eigh(cov)[1][:, -1]
-
-
-def _eigenvector_angles_2d(samples) -> list[float]:
-    """Rotations aligning the leading covariance eigenvector with each axis."""
-    leading = _leading_eigenvector(samples)
+    leading = np.linalg.eigh(cov)[1][:, -1]
     phi = float(np.arctan2(leading[1], leading[0]))
     return [normalize_angle(-phi), normalize_angle(np.pi / 2.0 - phi)]
 
@@ -261,51 +265,6 @@ def _golden_section(a, b, max_iterations):
     return best_x, best_f, False
 
 
-def _nelder_mead(x0, max_iterations):
-    """Nelder-Mead minimization from the 3-vector ``x0``, as a generator like :func:`_golden_section`.
-
-    Unbounded, non-adaptive steps (reflection 1, expansion 2, contraction and shrink 1/2)
-    on lists of Python floats, each the IEEE operations of scipy's arrays, the reference
-    the tests compare it with (exact ties ranked by its argsort, which need not be stable),
-    so both probe the same points.  Returns ``(point, value, converged)`` for the best
-    vertex; converged means ``TOLERANCE`` and ``X_TOLERANCE`` held before ``max_iterations``.
-    """
-    n, x0 = len(x0), [float(c) for c in x0]
-    sim = [x0] + [x0[:k] + [1.05 * c if c != 0 else 0.00025] + x0[k + 1 :] for k, c in enumerate(x0)]
-    fsim = []
-    for vertex in sim:
-        fsim.append((yield vertex))
-    for iteration in range(1, max_iterations + 1):
-        ind = np.argsort(fsim) if len(set(fsim)) <= n else sorted(range(n + 1), key=fsim.__getitem__)
-        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
-        if iteration == max_iterations or (  # the cheaper test first, as it seldom holds
-            fsim[-1] - fsim[0] <= TOLERANCE  # fsim ascends, so this is its widest gap
-            and max(abs(c - b) for v in sim[1:] for c, b in zip(v, sim[0])) <= X_TOLERANCE
-        ):
-            return np.array(sim[0]), float(fsim[0]), iteration < max_iterations
-        # rows added left to right, as numpy's axis-0 reduce adds them (sum() may compensate)
-        xbar = [(a + b + c) / n for a, b, c in zip(*sim[:-1])]
-        xr = [2 * c - w for c, w in zip(xbar, sim[-1])]
-        fxr = yield xr
-        if fxr < fsim[0]:
-            xe = [3 * c - 2 * w for c, w in zip(xbar, sim[-1])]
-            fxe = yield xe
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            # contract outside the simplex if the reflection beat the worst vertex, else inside
-            outside = fxr < fsim[-1]
-            xc = [1.5 * c - 0.5 * w if outside else 0.5 * c + 0.5 * w for c, w in zip(xbar, sim[-1])]
-            fxc = yield xc
-            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = [b + 0.5 * (c - b) for c, b in zip(sim[j], sim[0])]
-                    fsim[j] = yield sim[j]
-
-
 def _drive(rounds, answer):
     """Send each request ``rounds`` yields its ``answer``; return what ``rounds`` returns."""
     try:
@@ -332,38 +291,60 @@ def _lockstep(runs, request=list):
     return results
 
 
-def _optimise_3d(centred, config, extra):
-    starts = [np.zeros(3)]
-    n_axes = max(1, (config.starts - 1) // 3)
-    for axis in _fibonacci_axes(n_axes):
-        for angle in (np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0):
-            starts.append(np.tan(angle / 4.0) * axis)
-    starts += extra
-
-    # each run's first probe is its start, and its best vertex never rises above it
-    runs = [_nelder_mead(x0, config.max_iterations) for x0 in starts]
-    polished = yield from _lockstep(runs, lambda mrps: (centred, np.array(mrps)))
-    # the smallest variance wins, then the smallest rotation angle
+def _optimise_3d(centred, config):
+    n = 2 * config.scan_points  # the identity, then all but the last point of an n-point spiral
+    mrps = np.concatenate([np.zeros((1, 3)), _super_fibonacci_mrps(n)[:-1]])
+    values = yield centred, mrps
+    # seeds and winner ranked by variance, then rotation angle (which grows with the MRP's norm);
+    # h is about the scan's spacing, in radians
+    seeds = np.lexsort((np.linalg.norm(mrps, axis=1), values))[: min(config.starts, SEEDS_3D)]
+    h, steps = (8.0 * np.pi**2 / n) ** (1.0 / 3.0), min(config.max_iterations, STEPS_3D)
+    runs = [_plane_sweeps(mrps[i], values[i], h, steps) for i in seeds]
+    polished = yield from _lockstep(runs, lambda ms: (centred, mrp_from_matrix(np.array(ms))))
     mrp, _, converged = min(polished, key=lambda r: (r[1], Rotation(r[0]).angle))
     return Rotation(mrp), converged
 
 
-def _fibonacci_axes(m: int) -> np.ndarray:
-    """m roughly uniform unit axes from the golden-angle spiral on the sphere."""
-    i = np.arange(m)
-    z = 1.0 - 2.0 * (i + 0.5) / m
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = TWO_PI * i / ((1.0 + np.sqrt(5.0)) / 2.0)
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+def _super_fibonacci_mrps(n: int) -> np.ndarray:
+    """MRPs of Alexa's super-Fibonacci spiral of n unit quaternions over SO(3), each q0 >= 0."""
+    s = np.arange(n) + 0.5
+    r, r_c = np.sqrt(s / n), np.sqrt(1.0 - s / n)
+    alpha, beta = TWO_PI * s / np.sqrt(2.0), TWO_PI * s / _PSI
+    q = np.column_stack([r * np.sin(alpha), r * np.cos(alpha), r_c * np.sin(beta), r_c * np.cos(beta)])
+    return q[:, 1:] * np.copysign(1.0, q[:, :1]) / (1.0 + np.abs(q[:, :1]))
 
 
-def _eigenvector_mrps_3d(samples) -> list:
-    """The MRP rotating the leading covariance eigenvector onto the x-axis, if one does."""
-    e = _leading_eigenvector(samples)
-    target = np.array([1.0, 0.0, 0.0])
-    cross = np.cross(e, target)
-    norm = np.linalg.norm(cross)
-    if norm < 1e-12:
-        return []
-    angle = float(np.arccos(np.clip(e @ target, -1.0, 1.0)))
-    return [np.tan(angle / 4.0) * (cross / norm)]
+def _plane_sweeps(mrp, value, h, steps):
+    """Sweeps of golden-section steps on each coordinate plane's Givens angle in [-h, h].
+
+    A generator like :func:`_golden_section` that yields G(theta) times the kept matrix, at
+    first ``mrp``'s; a step is kept only if it lowers ``value``, and h halves after each sweep.
+    Returns ``(mrp, value, converged)``, converged if the last sweep moved no plane.
+    """
+
+    def turn(theta):  # G(theta) times the kept matrix, G turning coordinate plane (i, j)
+        c, s, product = math.cos(theta), math.sin(theta), matrix.copy()
+        product[i], product[j] = c * matrix[i] - s * matrix[j], s * matrix[i] + c * matrix[j]
+        return product
+
+    matrix = rotation_matrices(mrp[None], 3)[0]
+    for _ in range(SWEEPS_3D):
+        moved = False
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            theta, f, _ = yield from _probing(_golden_section(-h, h, steps), turn)
+            if f < value:
+                matrix, value = turn(theta), f
+                mrp = mrp_from_matrix(matrix[None])[0]  # the bits the probe requested
+                moved |= abs(theta) > TOLERANCE
+        h /= 2.0
+    return mrp, value, not moved
+
+
+def _probing(run, probe):
+    """The search generator ``run`` with ``probe`` of each point it yields yielded instead."""
+    point = next(run)
+    while True:
+        try:
+            point = run.send((yield probe(point)))
+        except StopIteration as done:
+            return done.value

@@ -237,6 +237,26 @@ class TestEntropyNaive:
         [(counts, _)] = seen
         assert counts.shape == want.shape and np.array_equal(counts, want)
 
+    @pytest.mark.parametrize("k, cells", [(2, [2, 2]), (3, [1, 2, 1]), (4, [1, 1, 1, 1])])
+    def test_range_past_float64_is_not_an_error(self, k, cells):
+        # x spans about 2e308, past float64: each width is upper/k - lower/k, the
+        # edges step from lower by it and end at upper, and every cell is finite
+        x = [-1e308, -0.5e308, 0.5e308, 1e308]
+        s = SampleSet(np.column_stack([x, [0.0, 1.0, 2.0, 3.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = entropy_naive(s, k)
+        # the points fill cells with counts ``cells``, each of volume (2e308 / k) * (3 / k)
+        p = np.array(cells) / 4.0
+        log_volume = np.log2(1e308) + np.log2(6.0 / k**2)
+        assert est.value == pytest.approx(-np.sum(p * (np.log2(p) - log_volume)), rel=1e-12)
+
+    def test_a_cell_past_float64_still_raises(self):
+        # one 3.4e308-wide cell is past float64 however the width is formed
+        s = SampleSet(np.column_stack([[-1.7e308, 0.0, 1.7e308], [0.0, 1.0, 2.0]]))
+        with pytest.raises(DegeneratePartitionError, match="bin volumes overflow"):
+            entropy_naive(s, 1)
+
 
 class TestEntropyMarginalEquiquantised:
     def test_hand_evaluated_1d(self):

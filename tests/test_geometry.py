@@ -11,7 +11,7 @@ from entropart import (
     normalize_angle,
     rotate,
 )
-from entropart.geometry import rotation_matrices
+from entropart.geometry import mrp_from_matrix, rotation_matrices
 
 
 def scalar_rotation_matrix(mrp, d):
@@ -179,6 +179,57 @@ class TestRotationMatrix:
     def test_unsupported_dimension(self, d):
         with pytest.raises(PreconditionError):
             rotation_matrices(Rotation.identity().mrp[None], d)[0]
+
+
+def turns(axes, angles):
+    """The MRPs of the turns by ``angles`` about the unit ``axes``, whatever the angle's size."""
+    axes = np.asarray(axes, dtype=float)
+    return np.tan(np.asarray(angles)[:, None] / 4.0) * axes / np.linalg.norm(axes, axis=1)[:, None]
+
+
+class TestMrpFromMatrix:
+    def round_trip(self, mrps):
+        matrices = rotation_matrices(mrps, 3)
+        back = mrp_from_matrix(matrices)
+        assert np.abs(rotation_matrices(back, 3) - matrices).max() <= 1e-12
+        assert (np.linalg.norm(back, axis=1) <= 1.0).all()
+        return back
+
+    def test_random_mrps_round_trip(self):
+        rng = np.random.default_rng(11)
+        mrps = rng.normal(size=(500, 3)) * rng.choice([1e-6, 0.1, 1.0, 10.0], size=(500, 1))
+        back = self.round_trip(mrps)
+        small = np.linalg.norm(mrps, axis=1) <= 1.0  # the same turn, sign-fixed, is the same MRP
+        assert np.allclose(back[small], mrps[small], rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_each_shepperd_branch_round_trips(self, axis):
+        # a small turn has the largest trace; a turn of 3 rad about axis k has diagonal
+        # entry k largest, as 4 q_k^2 = 1 + 2 m_kk - trace is then near 4
+        rng = np.random.default_rng(12 + axis)
+        directions = rng.normal(scale=0.05, size=(50, 3))
+        directions[:, axis] = 1.0
+        for angles in (rng.uniform(0.0, 0.5, 50), rng.uniform(2.8, 3.1, 50)):
+            mrps = turns(directions, angles)
+            matrices = rotation_matrices(mrps, 3)
+            diagonal = np.diagonal(matrices, axis1=1, axis2=2)
+            trace = diagonal.sum(axis=1)
+            branch = np.argmax(np.column_stack([trace, 2.0 * diagonal - trace[:, None]]), axis=1)
+            assert set(branch) == ({0} if angles[0] < 1.0 else {axis + 1})
+            self.round_trip(mrps)
+
+    def test_near_half_turns_round_trip(self):
+        # q0 near 0: the MRP's norm is near 1, and either sign of q is the same turn
+        rng = np.random.default_rng(15)
+        axes = rng.normal(size=(60, 3))
+        angles = np.pi - np.concatenate([np.zeros(20), rng.uniform(0.0, 1e-9, 20), [1e-15] * 20])
+        back = self.round_trip(turns(axes, angles))
+        assert np.allclose(np.linalg.norm(back, axis=1), 1.0, atol=1e-8)
+
+    def test_a_matrix_maps_to_the_same_bits_alone_as_in_a_stack(self):
+        matrices = rotation_matrices(np.random.default_rng(16).normal(size=(64, 3)), 3)
+        alone = np.array([mrp_from_matrix(m[None])[0] for m in matrices])
+        assert alone.tobytes() == mrp_from_matrix(matrices).tobytes()
 
 
 class TestRotate:
