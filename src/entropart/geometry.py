@@ -153,24 +153,14 @@ def rotation_matrices(mrps, d: int) -> np.ndarray:
     raise PreconditionError(f"rotation matrices are supported for d in {{2, 3}}, got d={d}")
 
 
-_SHEPPERD_ROWS = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]])
+def mrp_from_quaternion(q) -> np.ndarray:
+    """MRPs (..., 3), of norm at most 1, of unit quaternions (..., 4), the scalar part q0 first.
 
-
-def mrp_from_matrix(matrices) -> np.ndarray:
-    """MRPs (A, 3), of norm at most 1, of (A, 3, 3) rotation matrices: rotation_matrices inverted.
-
-    Shepperd's method: the row of 4 q q^T with the largest diagonal entry is 4 q_k q, normalised
-    and signed so q0 >= 0.  Each step is elementwise, so a matrix maps alike alone or stacked.
+    q and -q are one turn, mapped as the one with q0 >= 0: q[1:] / (1 + q0).  The map is
+    elementwise, so a quaternion maps to the same bits alone as in a stack.
     """
-    m = np.asarray(matrices, dtype=float)
-    (x, y, z), t = np.diagonal(m, axis1=1, axis2=2).T, m.transpose(0, 2, 1)
-    # the diagonal of 4 q q^T, then 4 q0 q[1:], 4 q1 q2, 4 q1 q3 and 4 q2 q3; row k is _SHEPPERD_ROWS[k]
-    diagonal = [1.0 + x + y + z, 1.0 + x - y - z, 1.0 - x + y - z, 1.0 - x - y + z]
-    table = np.column_stack([*diagonal, (m - t)[:, [2, 0, 1], [1, 2, 0]], (m + t)[:, [0, 0, 1], [1, 2, 2]]])
-    rows = np.take_along_axis(table, _SHEPPERD_ROWS[table[:, :4].argmax(axis=1)], axis=1)
-    r0, r1, r2, r3 = rows.T
-    q = rows / np.copysign(np.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3), r0)[:, None]
-    return q[:, 1:] / (1.0 + q[:, :1])
+    q = np.asarray(q, dtype=float)
+    return q[..., 1:] * np.copysign(1.0, q[..., :1]) / (1.0 + np.abs(q[..., :1]))
 
 
 def rotate(samples: SampleSet, rot: Rotation) -> SampleSet:

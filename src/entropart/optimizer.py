@@ -13,12 +13,13 @@ minima: kinks appear wherever a rotation reorders sample coordinates, and
 competitive basins can be a few milliradians wide.  Alignment is therefore
 derivative-free and deliberately dense in 2-D: a deterministic uniform angle
 scan locates the candidate basins and golden-section polishes the best of
-them.  In 3-D the scan is the identity and a super-Fibonacci spiral over SO(3)
-(Alexa, CVPR 2022), and golden-section sweeps over each coordinate plane's
-Givens angle, as in RADICAL (Learned-Miller & Fisher, JMLR 2003), polish its
-best points.  Both searches advance all their local runs in lock-step, so every
-round of probes is one batched call of the partition kernel, and so can the
-searches of sample sets of one size.  Everything is deterministic.
+them.  In 3-D the scan is the identity and a super-Fibonacci spiral of unit
+quaternions over SO(3) (Alexa, CVPR 2022), and golden-section sweeps over each
+coordinate plane's Givens angle, as in RADICAL (Learned-Miller & Fisher, JMLR
+2003), turn the quaternions of its best points; a quaternion becomes an MRP only
+as it is requested.  Both searches advance all their local runs in lock-step,
+so every round of probes is one batched call of the partition kernel, and so
+can the searches of sample sets of one size.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .geometry import (
     SampleSet,
     centre,
     mrp_from_angle_2d,
-    mrp_from_matrix,
+    mrp_from_quaternion,
     normalize_angle,
     rotate,
     rotation_matrices,
@@ -293,51 +294,50 @@ def _lockstep(runs, request=list):
 
 def _optimise_3d(centred, config):
     n = 2 * config.scan_points  # the identity, then all but the last point of an n-point spiral
-    mrps = np.concatenate([np.zeros((1, 3)), _super_fibonacci_mrps(n)[:-1]])
+    quaternions = np.concatenate([[[1.0, 0.0, 0.0, 0.0]], _super_fibonacci(n)[:-1]])
+    mrps = mrp_from_quaternion(quaternions)
     values = yield centred, mrps
     # seeds and winner ranked by variance, then rotation angle (which grows with the MRP's norm);
     # h is about the scan's spacing, in radians
     seeds = np.lexsort((np.linalg.norm(mrps, axis=1), values))[: min(config.starts, SEEDS_3D)]
     h, steps = (8.0 * np.pi**2 / n) ** (1.0 / 3.0), min(config.max_iterations, STEPS_3D)
-    runs = [_plane_sweeps(mrps[i], values[i], h, steps) for i in seeds]
-    polished = yield from _lockstep(runs, lambda ms: (centred, mrp_from_matrix(np.array(ms))))
+    runs = [_plane_sweeps(quaternions[i].tolist(), values[i], h, steps) for i in seeds]
+    polished = yield from _lockstep(runs, lambda qs: (centred, mrp_from_quaternion(qs)))
     mrp, _, converged = min(polished, key=lambda r: (r[1], Rotation(r[0]).angle))
     return Rotation(mrp), converged
 
 
-def _super_fibonacci_mrps(n: int) -> np.ndarray:
-    """MRPs of Alexa's super-Fibonacci spiral of n unit quaternions over SO(3), each q0 >= 0."""
+def _super_fibonacci(n: int) -> np.ndarray:
+    """Alexa's super-Fibonacci spiral: n unit quaternions (n, 4) over SO(3), the scalar part first."""
     s = np.arange(n) + 0.5
     r, r_c = np.sqrt(s / n), np.sqrt(1.0 - s / n)
     alpha, beta = TWO_PI * s / np.sqrt(2.0), TWO_PI * s / _PSI
-    q = np.column_stack([r * np.sin(alpha), r * np.cos(alpha), r_c * np.sin(beta), r_c * np.cos(beta)])
-    return q[:, 1:] * np.copysign(1.0, q[:, :1]) / (1.0 + np.abs(q[:, :1]))
+    return np.column_stack([r * np.sin(alpha), r * np.cos(alpha), r_c * np.sin(beta), r_c * np.cos(beta)])
 
 
-def _plane_sweeps(mrp, value, h, steps):
+def _plane_sweeps(q, value, h, steps):
     """Sweeps of golden-section steps on each coordinate plane's Givens angle in [-h, h].
 
-    A generator like :func:`_golden_section` that yields G(theta) times the kept matrix, at
-    first ``mrp``'s; a step is kept only if it lowers ``value``, and h halves after each sweep.
-    Returns ``(mrp, value, converged)``, converged if the last sweep moved no plane.
+    A generator like :func:`_golden_section` that yields G(theta) times the kept rotation, at first
+    the quaternion ``q``, as 4 floats; a step is kept only if it lowers ``value``, and h halves after
+    each sweep.  Returns ``(mrp, value, converged)``, converged if the last sweep moved no plane.
     """
 
-    def turn(theta):  # G(theta) times the kept matrix, G turning coordinate plane (i, j)
-        c, s, product = math.cos(theta), math.sin(theta), matrix.copy()
-        product[i], product[j] = c * matrix[i] - s * matrix[j], s * matrix[i] + c * matrix[j]
+    def turn(theta):  # G(theta) on a plane turns the kept q by theta/2 in that plane's two pairs
+        c, s, product = math.cos(theta / 2.0), math.sin(theta / 2.0), list(q)
+        for a, b in pairs:
+            product[a], product[b] = c * q[a] - s * q[b], s * q[a] + c * q[b]
         return product
 
-    matrix = rotation_matrices(mrp[None], 3)[0]
     for _ in range(SWEEPS_3D):
         moved = False
-        for i, j in ((0, 1), (0, 2), (1, 2)):
+        for pairs in (((0, 3), (1, 2)), ((2, 0), (1, 3)), ((0, 1), (2, 3))):  # planes (0,1), (0,2), (1,2)
             theta, f, _ = yield from _probing(_golden_section(-h, h, steps), turn)
             if f < value:
-                matrix, value = turn(theta), f
-                mrp = mrp_from_matrix(matrix[None])[0]  # the bits the probe requested
+                q, value = turn(theta), f
                 moved |= abs(theta) > TOLERANCE
         h /= 2.0
-    return mrp, value, not moved
+    return mrp_from_quaternion(q), value, not moved  # the MRP its kept probe was, bit for bit
 
 
 def _probing(run, probe):

@@ -11,7 +11,7 @@ from entropart import (
     normalize_angle,
     rotate,
 )
-from entropart.geometry import mrp_from_matrix, rotation_matrices
+from entropart.geometry import mrp_from_quaternion, rotation_matrices
 
 
 def scalar_rotation_matrix(mrp, d):
@@ -182,54 +182,62 @@ class TestRotationMatrix:
 
 
 def turns(axes, angles):
-    """The MRPs of the turns by ``angles`` about the unit ``axes``, whatever the angle's size."""
-    axes = np.asarray(axes, dtype=float)
-    return np.tan(np.asarray(angles)[:, None] / 4.0) * axes / np.linalg.norm(axes, axis=1)[:, None]
+    """Unit quaternions (q0 first) of the turns by ``angles`` about the ``axes``."""
+    axes = np.asarray(axes, dtype=float) / np.linalg.norm(axes, axis=1)[:, None]
+    half = np.asarray(angles, dtype=float)[:, None] / 2.0
+    return np.column_stack([np.cos(half), np.sin(half) * axes])
 
 
-class TestMrpFromMatrix:
-    def round_trip(self, mrps):
-        matrices = rotation_matrices(mrps, 3)
-        back = mrp_from_matrix(matrices)
-        assert np.abs(rotation_matrices(back, 3) - matrices).max() <= 1e-12
-        assert (np.linalg.norm(back, axis=1) <= 1.0).all()
-        return back
+def quaternion_matrices(q):
+    """The rotation matrices of unit quaternions by the textbook formula, with no MRP."""
+    w, x, y, z = np.asarray(q).T
+    return np.stack(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    ).transpose(2, 0, 1)
 
-    def test_random_mrps_round_trip(self):
+
+class TestMrpFromQuaternion:
+    def check(self, q):
+        """The MRPs of ``q`` and of ``-q``: one turn, one MRP, of norm at most 1."""
+        mrps = mrp_from_quaternion(q)
+        assert mrp_from_quaternion(-q).tobytes() == mrps.tobytes()
+        assert np.abs(rotation_matrices(mrps, 3) - quaternion_matrices(q)).max() <= 1e-12
+        assert (np.linalg.norm(mrps, axis=1) <= 1.0 + 1e-15).all()
+        return mrps
+
+    def test_random_quaternions_map_to_their_turns(self):
         rng = np.random.default_rng(11)
-        mrps = rng.normal(size=(500, 3)) * rng.choice([1e-6, 0.1, 1.0, 10.0], size=(500, 1))
-        back = self.round_trip(mrps)
-        small = np.linalg.norm(mrps, axis=1) <= 1.0  # the same turn, sign-fixed, is the same MRP
-        assert np.allclose(back[small], mrps[small], rtol=1e-9, atol=1e-15)
+        q = rng.normal(size=(500, 4))
+        self.check(q / np.linalg.norm(q, axis=1)[:, None])
+        angles = rng.uniform(0.0, np.pi, 500)  # q0 >= 0: the MRP is the tan(angle/4) along the axis
+        axes = rng.normal(size=(500, 3)) * rng.choice([1e-6, 1.0, 10.0], size=(500, 1))
+        mrps = self.check(turns(axes, angles))
+        want = np.tan(angles / 4.0)[:, None] * axes / np.linalg.norm(axes, axis=1)[:, None]
+        assert np.allclose(mrps, want, rtol=1e-9, atol=1e-15)
 
-    @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_each_shepperd_branch_round_trips(self, axis):
-        # a small turn has the largest trace; a turn of 3 rad about axis k has diagonal
-        # entry k largest, as 4 q_k^2 = 1 + 2 m_kk - trace is then near 4
-        rng = np.random.default_rng(12 + axis)
-        directions = rng.normal(scale=0.05, size=(50, 3))
-        directions[:, axis] = 1.0
-        for angles in (rng.uniform(0.0, 0.5, 50), rng.uniform(2.8, 3.1, 50)):
-            mrps = turns(directions, angles)
-            matrices = rotation_matrices(mrps, 3)
-            diagonal = np.diagonal(matrices, axis1=1, axis2=2)
-            trace = diagonal.sum(axis=1)
-            branch = np.argmax(np.column_stack([trace, 2.0 * diagonal - trace[:, None]]), axis=1)
-            assert set(branch) == ({0} if angles[0] < 1.0 else {axis + 1})
-            self.round_trip(mrps)
-
-    def test_near_half_turns_round_trip(self):
-        # q0 near 0: the MRP's norm is near 1, and either sign of q is the same turn
+    def test_near_half_turns_map_to_their_turns(self):
+        # q0 near or at 0: the MRP's norm is near 1, and either sign of q is the same turn
         rng = np.random.default_rng(15)
         axes = rng.normal(size=(60, 3))
         angles = np.pi - np.concatenate([np.zeros(20), rng.uniform(0.0, 1e-9, 20), [1e-15] * 20])
-        back = self.round_trip(turns(axes, angles))
-        assert np.allclose(np.linalg.norm(back, axis=1), 1.0, atol=1e-8)
+        q = turns(axes, angles)
+        mrps = self.check(q)
+        assert np.allclose(np.linalg.norm(mrps, axis=1), 1.0, atol=1e-8)
+        for zero in (0.0, -0.0):  # exact half turns: v and -v are both their MRPs
+            q[:, 0] = zero
+            assert np.allclose(np.linalg.norm(self.check(q), axis=1), 1.0, atol=1e-15)
 
-    def test_a_matrix_maps_to_the_same_bits_alone_as_in_a_stack(self):
-        matrices = rotation_matrices(np.random.default_rng(16).normal(size=(64, 3)), 3)
-        alone = np.array([mrp_from_matrix(m[None])[0] for m in matrices])
-        assert alone.tobytes() == mrp_from_matrix(matrices).tobytes()
+    def test_a_quaternion_maps_to_the_same_bits_alone_as_in_a_stack(self):
+        q = np.random.default_rng(16).normal(size=(64, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        alone = np.array([mrp_from_quaternion(row) for row in q])
+        assert alone.tobytes() == mrp_from_quaternion(q).tobytes()
+        listed = np.array([mrp_from_quaternion(row.tolist()) for row in q])
+        assert alone.tobytes() == listed.tobytes()
 
 
 class TestRotate:

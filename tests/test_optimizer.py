@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from entropart import (
     rotate,
     volume_variance,
 )
-from entropart.geometry import TWO_PI, mrp_from_matrix, rotation_matrices
+from entropart.geometry import TWO_PI, mrp_from_quaternion, rotation_matrices
 from entropart.optimizer import (
     BATCH_SAMPLES,
     _best_basin_seeds,
@@ -39,7 +40,7 @@ from entropart.optimizer import (
     _lockstep,
     _optimise_2d,
     _plane_sweeps,
-    _super_fibonacci_mrps,
+    _super_fibonacci,
     _variances,
     optimise_rotations,
 )
@@ -216,39 +217,47 @@ SMALL_3D = OptimizerConfig(starts=2, max_iterations=4, scan_points=64)
 ONE_SEED_3D = OptimizerConfig(starts=1, scan_points=256)
 
 # per seeded input (seed, N, rounded to decimals, depth) and config, a digest of the
-# winning MRP's bytes, its variance and converged
+# winning MRP's bytes, its variance and converged; re-recorded when the polish came to
+# turn quaternions, not matrices: each variance moved by less than 1e-14 relative
 SEEDED_3D = [
-    ((60, 96, None, 1), None, "cbda633ab491d3c2", 0.0006015137231026308, False),
-    ((60, 96, None, 1), SMALL_3D, "a3df6229244ea522", 0.0007538125593145222, False),
-    ((60, 96, None, 1), ONE_SEED_3D, "01a64af65c87ab85", 0.0007052661847359601, False),
-    ((61, 256, None, 1), None, "bc89ee18b9fe8edd", 1.0349261414642929e-05, False),
-    ((61, 256, None, 1), SMALL_3D, "a43b5f7e51e8fd57", 6.290771853923374e-05, False),
-    ((61, 256, None, 1), ONE_SEED_3D, "2704d732c4a948c5", 1.1818128530503932e-05, False),
-    ((62, 128, 1, 1), None, "8a1339fe3fea4edd", 0.0001560121885099131, False),
-    ((62, 128, 1, 1), SMALL_3D, "1e78085785151991", 0.00017365233956834452, False),
-    ((62, 128, 1, 1), ONE_SEED_3D, "965e6e712d021fac", 0.0001601176878139459, False),
-    ((63, 200, 1, 2), None, "ed8cfcd4b597ce2f", 0.0001783002960803124, False),
-    ((63, 200, 1, 2), SMALL_3D, "8470cfcc12005f6a", 0.00018480041208876095, False),
-    ((63, 200, 1, 2), ONE_SEED_3D, "66b6e50ec744a445", 0.00018288957881272972, False),
+    ((60, 96, None, 1), None, "7ccd73614e0dad78", 0.0006015137231026317, False),
+    ((60, 96, None, 1), SMALL_3D, "de5f82fdc6dc05ca", 0.0007538125593145211, False),
+    ((60, 96, None, 1), ONE_SEED_3D, "9bab761c3e8ed85f", 0.0007052661847359609, False),
+    ((61, 256, None, 1), None, "830f008651e12635", 1.0349261414642963e-05, False),
+    ((61, 256, None, 1), SMALL_3D, "2da7acda4c0496de", 6.290771853923371e-05, False),
+    ((61, 256, None, 1), ONE_SEED_3D, "ec887b6b92367596", 1.1818128530503829e-05, False),
+    ((62, 128, 1, 1), None, "ebca0a2b0c56fb12", 0.0001560121885099138, False),
+    ((62, 128, 1, 1), SMALL_3D, "0f6d62994ad82c66", 0.00017365233956834458, False),
+    ((62, 128, 1, 1), ONE_SEED_3D, "0fbdbf3792c7b659", 0.00016011768781394592, False),
+    ((63, 200, 1, 2), None, "168c8533aa95e2c1", 0.0001783002960803124, False),
+    ((63, 200, 1, 2), SMALL_3D, "ee8fe50314ebb769", 0.00018480041208876095, False),
+    ((63, 200, 1, 2), ONE_SEED_3D, "254e585643964410", 0.00018288957881272967, False),
 ]
 
 
 def default_scan_mrps():
     """The MRPs of a default 3-D scan: the identity, then the spiral less its last point."""
     n = 2 * OptimizerConfig().scan_points
-    return np.concatenate([np.zeros((1, 3)), _super_fibonacci_mrps(n)[:-1]])
+    return mrp_from_quaternion(np.concatenate([[[1.0, 0.0, 0.0, 0.0]], _super_fibonacci(n)[:-1]]))
 
 
-def requested_mrps(monkeypatch):
-    """Record each round's requested MRPs, one (A, 3) array per round, as the search runs."""
+def recorded_rounds(monkeypatch):
+    """Record each round as the search runs: its requested MRPs (A, 3) and their variances (A,)."""
     rounds, variances = [], entropart.optimizer._variances
 
     def recording(requests, *args):
-        rounds.append(np.concatenate([mrps for _, mrps in requests]))
-        return variances(requests, *args)
+        answers = variances(requests, *args)
+        rounds.append((np.concatenate([mrps for _, mrps in requests]), np.concatenate(answers)))
+        return answers
 
     monkeypatch.setattr(entropart.optimizer, "_variances", recording)
     return rounds
+
+
+def align_3d_sample():
+    """A correlated 3-D draw of the align-3d benchmark's shape (N=512)."""
+    rng = np.random.default_rng(84)
+    return SampleSet(rng.normal(size=(512, 3)) @ rng.normal(size=(3, 3)))
 
 
 def oracle_draw(seed):
@@ -274,54 +283,58 @@ class TestOptimise3d:
         # probe asks for a scan point again
         rng = np.random.default_rng(82)
         s = SampleSet(rng.normal(size=(128, 3)) @ rng.normal(size=(3, 3)))
-        rounds = requested_mrps(monkeypatch)
+        rounds = recorded_rounds(monkeypatch)
         optimise_rotation(s, 1)
         scan = default_scan_mrps()
         assert (len(scan), scan[0].tolist()) == (2048, [0.0, 0.0, 0.0])
-        assert rounds[0].tobytes() == scan.tobytes()
-        requested = [mrp.tobytes() for mrps in rounds for mrp in mrps]
+        assert rounds[0][0].tobytes() == scan.tobytes()
+        requested = [mrp.tobytes() for mrps, _ in rounds for mrp in mrps]
         assert [requested.count(mrp.tobytes()) for mrp in scan] == [1] * len(scan)
 
-    def test_the_eigenvector_start_does_not_change_a_3d_search(self, monkeypatch):
-        # the leading covariance eigenvector is exactly the x-axis; with or
-        # without the eigenvector start the first round is the scan alone, and
-        # every later probe is the same
+    @pytest.mark.parametrize(
+        "changed", [{"eigenvector_start": False}, {"starts": 8, "max_iterations": 60}]
+    )
+    def test_settings_the_3d_search_ignores_change_no_probe(self, monkeypatch, changed):
+        # the leading covariance eigenvector is exactly the x-axis; with or without the
+        # eigenvector start the first round is the scan alone, and every later probe is the
+        # same; as the README says, 3-D starts are capped at 4 and max_iterations at 10
         axes = np.diag([3.0, 2.0, 1.0])
         s = SampleSet(np.concatenate([axes, -axes, axes / 2.0, -axes / 2.0]))
-        searches = []
-        for eigenvector_start in (True, False):
-            rounds = requested_mrps(monkeypatch)
-            rot, _ = optimise_rotation(s, 1, OptimizerConfig(eigenvector_start=eigenvector_start))
-            searches.append((rot.mrp.tobytes(), [mrps.tobytes() for mrps in rounds]))
-            assert len(rounds[0]) == 2 * OptimizerConfig().scan_points
+        capped, searches = OptimizerConfig(starts=4, max_iterations=10), []
+        for config in (capped, replace(capped, **changed)):
+            rounds = recorded_rounds(monkeypatch)
+            rot, _ = optimise_rotation(s, 1, config)
+            searches.append((rot.mrp.tobytes(), [mrps.tobytes() for mrps, _ in rounds]))
+            assert len(rounds[0][0]) == 2 * OptimizerConfig().scan_points
         assert searches[0] == searches[1]
 
     def test_every_probe_of_a_default_search_is_pinned(self, monkeypatch):
         # SEEDED_3D pins winners only; this pins, in order, each MRP a default
         # search asks the kernel for and each variance it gets back, on the
         # shape of input the align-3d benchmark uses (N=512, depth 1)
-        rng = np.random.default_rng(84)
-        s = SampleSet(rng.normal(size=(512, 3)) @ rng.normal(size=(3, 3)))
-        stream, probes, variances = hashlib.sha256(), [], entropart.optimizer._variances
+        rounds = recorded_rounds(monkeypatch)
+        optimise_rotation(align_3d_sample(), 1)
+        stream = hashlib.sha256()
+        for mrps, values in rounds:
+            stream.update(mrps.tobytes())
+            stream.update(values.tobytes())
+        probes = sum(len(values) for _, values in rounds)
+        assert (len(rounds), probes) == (73, 2336)
+        assert stream.hexdigest()[:16] == "e3a38ad36ea7f496"
 
-        def recording(requests, *args):
-            answers = variances(requests, *args)
-            for (_, mrps), values in zip(requests, answers):
-                stream.update(np.ascontiguousarray(mrps, dtype=float).tobytes())
-                stream.update(np.array(values, dtype=float).tobytes())
-                probes.append(len(values))
-            return answers
-
-        monkeypatch.setattr(entropart.optimizer, "_variances", recording)
-        optimise_rotation(s, 1)
-        assert (len(probes), sum(probes)) == (73, 2336)  # rounds, probes
-        assert stream.hexdigest()[:16] == "5b9acd09f98ad17c"
+    def test_the_winner_is_one_of_its_probes_bit_for_bit(self, monkeypatch):
+        # the winning MRP is one the search requested, and its variance the one returned for it
+        rounds = recorded_rounds(monkeypatch)
+        rot, ev = optimise_rotation(align_3d_sample(), 1)
+        requested = {m.tobytes(): v for mrps, values in rounds for m, v in zip(mrps, values)}
+        assert rot.mrp.tobytes() in requested
+        assert requested[rot.mrp.tobytes()] == ev.variance
 
     def test_finds_no_worse_than_identity(self):
         rng = np.random.default_rng(80)
         data = rng.normal(size=(128, 3)) @ rng.normal(size=(3, 3))
         s = SampleSet(data)
-        config = OptimizerConfig(starts=8, max_iterations=60)
+        config = OptimizerConfig(starts=4, max_iterations=10)
         rot, ev = optimise_rotation(s, 1, config)
         identity_var = volume_variance(s, Rotation.identity(), 1).variance
         assert ev.variance <= identity_var
@@ -330,7 +343,7 @@ class TestOptimise3d:
     def test_deterministic(self):
         rng = np.random.default_rng(81)
         s = SampleSet(rng.normal(size=(64, 3)))
-        config = OptimizerConfig(starts=4, max_iterations=40)
+        config = OptimizerConfig(starts=3, max_iterations=6)
         a = optimise_rotation(s, 1, config)
         b = optimise_rotation(s, 1, config)
         assert np.array_equal(a[0].mrp, b[0].mrp)
@@ -367,38 +380,57 @@ class TestOptimise3d:
         assert above <= 2
 
 
+def hamilton(a, b):
+    """The quaternion product a b, the scalar part first: the turn b, then a."""
+    (w, x, y, z), (v, r, s, u) = a, b
+    return [
+        w * v - x * r - y * s - z * u,
+        w * r + x * v + y * u - z * s,
+        w * s - x * u + y * v + z * r,
+        w * u + x * s - y * r + z * v,
+    ]
+
+
 class TestPlaneSweeps:
+    # the unit quaternion of the MRP p = (0.1, -0.2, 0.3): (1 - |p|^2, 2 p) / (1 + |p|^2)
+    TARGET_Q = [0.86 / 1.14, 0.2 / 1.14, -0.4 / 1.14, 0.6 / 1.14]
     TARGET = rotation_matrices(np.array([[0.1, -0.2, 0.3]]), 3)[0]
 
-    def distance(self, matrix):
-        """A smooth bowl over rotation matrices, least at TARGET."""
-        return float(np.sum((matrix - self.TARGET) ** 2))
+    def matrix(self, q):
+        return rotation_matrices(mrp_from_quaternion(q)[None], 3)[0]
+
+    def distance(self, q):
+        """A smooth bowl over rotations, least at TARGET."""
+        return float(np.sum((self.matrix(q) - self.TARGET) ** 2))
 
     def test_a_sweep_from_the_minimum_keeps_no_step(self):
-        start = mrp_from_matrix(self.TARGET[None])[0]
-        value = self.distance(rotation_matrices(start[None], 3)[0])
-        mrp, got, converged = _drive(_plane_sweeps(start, value, 0.3, 10), self.distance)
+        value = self.distance(self.TARGET_Q)
+        assert value < 1e-30
+        mrp, got, converged = _drive(_plane_sweeps(self.TARGET_Q, value, 0.3, 10), self.distance)
+        start = mrp_from_quaternion(self.TARGET_Q)
         assert (mrp.tobytes(), got, converged) == (start.tobytes(), value, True)
 
-    def test_each_probe_is_a_givens_turn_of_the_kept_matrix(self):
+    def test_each_probe_is_a_givens_turn_of_the_kept_rotation(self):
         # 0.4 rad about z from the target: the first sweep's (0, 1) plane cannot
         # close that within h = 0.3, so the halved second sweep still moves
+        start = hamilton([np.cos(0.2), 0.0, 0.0, np.sin(0.2)], self.TARGET_Q)
         turn = np.array([[np.cos(0.4), -np.sin(0.4), 0.0], [np.sin(0.4), np.cos(0.4), 0.0], [0, 0, 1]])
-        start = mrp_from_matrix((turn @ self.TARGET)[None])[0]
-        value = self.distance(rotation_matrices(start[None], 3)[0])
+        assert np.allclose(self.matrix(start), turn @ self.TARGET, atol=1e-15)
+        value = self.distance(start)
         probes = []
 
-        def answer(matrix):
-            probes.append(matrix)
-            return self.distance(matrix)
+        def answer(q):
+            probes.append(q)
+            return self.distance(q)
 
         mrp, got, converged = _drive(_plane_sweeps(start, value, 0.3, 10), answer)
         assert 12 < len(probes) <= 2 * 3 * 12  # sweeps x planes x golden-section probes
         assert not converged and got < 1e-4 < value
+        assert np.allclose(np.linalg.norm(probes, axis=1), 1.0, atol=1e-15)
         # every probe of the first plane turns the start within its (0, 1) plane, by at most h
-        kept = rotation_matrices(start[None], 3)[0]
+        kept = self.matrix(start)
         for probe in probes[:12]:
-            g = probe @ kept.T
+            g = self.matrix(probe) @ kept.T
             assert np.allclose(g[2], [0.0, 0.0, 1.0], atol=1e-12)
             assert abs(np.arctan2(g[1, 0], g[0, 0])) <= 0.3 + 1e-12
         assert np.allclose(rotation_matrices(mrp[None], 3)[0], self.TARGET, atol=1e-2)
@@ -408,10 +440,8 @@ class TestPlaneSweeps:
         # rotations is within h of a point of the n-point spiral (measured 0.29 rad at
         # n = 2048, against h = 0.34)
         for n in (256, 2048):
-            mrps = _super_fibonacci_mrps(n)
-            s2 = np.sum(mrps * mrps, axis=1)
-            q = np.column_stack([(1.0 - s2) / (1.0 + s2), 2.0 * mrps / (1.0 + s2)[:, None]])
-            assert np.allclose(np.linalg.norm(q, axis=1), 1.0) and (q[:, 0] >= 0.0).all()
+            q = _super_fibonacci(n)
+            assert np.allclose(np.linalg.norm(q, axis=1), 1.0)
             r = np.random.default_rng(7).normal(size=(1000, 4))
             r /= np.linalg.norm(r, axis=1, keepdims=True)
             nearest = 2.0 * np.arccos(np.minimum(np.abs(r @ q.T).max(axis=1), 1.0))
