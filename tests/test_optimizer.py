@@ -435,6 +435,30 @@ class TestPlaneSweeps:
             assert abs(np.arctan2(g[1, 0], g[0, 0])) <= 0.3 + 1e-12
         assert np.allclose(rotation_matrices(mrp[None], 3)[0], self.TARGET, atol=1e-2)
 
+    @pytest.mark.parametrize("plane", [0, 1, 2], ids=["01", "02", "12"])
+    def test_each_plane_turns_the_kept_rotation_within_that_plane(self, plane):
+        # from the minimum no step is kept, so each sweep runs the planes (0,1), (0,2),
+        # (1,2) in turn, each as many probes, all turning the start; this checks each
+        # plane's pair of quaternion components against the matrix turn it stands for
+        probes = []
+
+        def answer(q):
+            probes.append(q)
+            return self.distance(q)
+
+        _drive(_plane_sweeps(self.TARGET_Q, self.distance(self.TARGET_Q), 0.3, 10), answer)
+        assert len(probes) % 6 == 0  # sweeps x planes
+        n, (i, j), kept = len(probes) // 6, [(0, 1), (0, 2), (1, 2)][plane], self.matrix(self.TARGET_Q)
+        k = 3 - i - j  # the axis the plane's turn leaves fixed
+        for sweep, h in enumerate((0.3, 0.15)):
+            angles = []
+            for probe in probes[(3 * sweep + plane) * n : (3 * sweep + plane + 1) * n]:
+                g = self.matrix(probe) @ kept.T
+                assert np.allclose(g[k], np.eye(3)[k], atol=1e-12)
+                assert np.allclose(g[:, k], np.eye(3)[k], atol=1e-12)
+                angles.append(np.arctan2(g[j, i], g[i, i]))
+            assert 1e-3 < max(np.abs(angles)) <= h + 1e-12
+
     def test_the_scan_covers_so3_within_the_polish_bracket(self):
         # h = (8 pi^2 / n)^(1/3) brackets each seed: every one of 1000 uniform random
         # rotations is within h of a point of the n-point spiral (measured 0.29 rad at
