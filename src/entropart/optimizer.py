@@ -25,12 +25,12 @@ can the searches of sample sets of one size.  Everything is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import PreconditionError, require_int
+from .errors import DegeneratePartitionError, PreconditionError, require_int
 from .estimators import METHOD_ROTATED, EntropyEstimate, partition_estimate
 from .geometry import (
     TWO_PI,
@@ -98,7 +98,6 @@ class ObjectiveEvaluation:
 
     variance: float
     partition: Partition
-    converged: bool = True
 
 
 def volume_variance(
@@ -116,10 +115,11 @@ def optimise_rotation(
     """Find the orientation minimising the bin-volume variance.
 
     Returns ``(rotation, evaluation)``: :func:`volume_variance` at the winning
-    orientation, whose variance is bit for bit the one the search found, and
-    whether the winning local run met its tolerance.  The result never exceeds
-    the objective at any scan point, the identity among them in 3-D; exact ties
-    are broken toward the smallest rotation angle so results are reproducible.
+    orientation, whose variance is bit for bit the one the search found.  The
+    result never exceeds the objective at any scan point, the identity among them
+    in 3-D; exact ties are broken toward the smallest rotation angle so results are
+    reproducible.  Samples on a line or plane, whose winning partition is then of
+    rounding-level width, raise :class:`DegeneratePartitionError`.
     """
     return optimise_rotations([samples], depth, config, cycle_order)[0]
 
@@ -134,9 +134,7 @@ def optimise_rotations(sample_sets, depth: int, config=None, cycle_order=None) -
     config, searches, order = config or OptimizerConfig(), [], None
     for samples in sample_sets:
         if samples.d not in (2, 3):
-            raise PreconditionError(
-                f"rotation optimization requires d in {{2, 3}}, got d={samples.d}"
-            )
+            raise PreconditionError(f"rotation optimization requires d in {{2, 3}}, got d={samples.d}")
         if samples.data.shape != sample_sets[0].data.shape:
             raise PreconditionError("sample sets searched together must share N and d")
         depth, order = split_schedule(samples, depth, cycle_order)
@@ -149,10 +147,12 @@ def optimise_rotations(sample_sets, depth: int, config=None, cycle_order=None) -
             searches.append(_optimise_2d(centred, config, extra))
     workspace = Workspace()
     results = _drive(_lockstep(searches), lambda r: _variances(r, depth, order, workspace))
-    return [
-        (rot, replace(volume_variance(s, rot, depth, order), converged=ok))
-        for s, (rot, ok) in zip(sample_sets, results)
-    ]
+    found = [(rot, volume_variance(s, rot, depth, order)) for s, rot in zip(sample_sets, results)]
+    for s, (rot, ev) in zip(sample_sets, found):  # rounding moves coordinate j by a few eps * scale[j]
+        scale = np.abs(rotation_matrices(rot.mrp[None], s.d)[0]) @ np.abs(centre(s)).max(axis=0)
+        if (np.diff(ev.partition.support, axis=0) <= 64.0 * np.finfo(float).eps * scale).any():
+            raise DegeneratePartitionError("samples lie on a line or plane: a rotated width is rounding")
+    return found
 
 
 def entropy_rotated(
@@ -173,19 +173,17 @@ def _optimise_2d(centred, config, extra):
     angles = np.concatenate([scan_angles, extra])  # each already in [0, 2*pi)
     values = np.array((yield request(angles)))
 
-    # (variance, canonical angle, converged); smallest-angle wins exact ties; of the scan only
+    # (variance, canonical angle); smallest-angle wins exact ties; of the scan only
     # its best is kept, as every search of a group holds its candidates through the polish
     best = np.lexsort((angles, values))[0]
-    candidates = [(float(values[best]), float(angles[best]), True)]
+    candidates = [(float(values[best]), float(angles[best]))]
     seeds = _best_basin_seeds(values[: len(scan_angles)], scan_angles, config.starts) + extra
 
     step = TWO_PI / config.scan_points  # each polish brackets one scan step either side
     runs = [_golden_section(s - step, s + step, config.max_iterations) for s in seeds]
     polished = yield from _lockstep(runs, request)
-    candidates += [(value, normalize_angle(x), ok) for x, value, ok in polished]
-
-    _, angle, converged = min(candidates, key=lambda c: (c[0], c[1]))
-    return mrp_from_angle_2d(angle), converged
+    candidates += [(value, normalize_angle(x)) for x, value in polished]
+    return mrp_from_angle_2d(min(candidates)[1])
 
 
 def _variances(requests, depth, order, workspace) -> list[list]:
@@ -236,34 +234,34 @@ def _eigenvector_angles_2d(samples) -> list[float]:
     return [normalize_angle(-phi), normalize_angle(np.pi / 2.0 - phi)]
 
 
-def _golden_section(a, b, max_iterations):
+def _golden_section(a, b, max_iterations, probe=lambda x: x):
     """Golden-section minimization on [a, b], as a generator.
 
-    It yields each point to probe, is sent the objective there, and returns
-    ``(point, value, converged)``: the best probe overall, so the result can
+    It yields ``probe(x)`` of each point x to probe (x itself by default), is sent the
+    objective there, and returns ``(x, value)`` of the best x overall, so the result can
     only improve on the bracket seeds even if the bracket is not unimodal.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = yield c
-    fd = yield d
+    fc = yield probe(c)
+    fd = yield probe(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
     for _ in range(max_iterations):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = yield c
+            fc = yield probe(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = yield d
+            fd = yield probe(d)
         if fc <= best_f:
             best_x, best_f = c, fc
         if fd < best_f:
             best_x, best_f = d, fd
         if (b - a) <= 1e-12 or abs(fc - fd) <= TOLERANCE:
-            return best_x, best_f, True
-    return best_x, best_f, False
+            break
+    return best_x, best_f
 
 
 def _drive(rounds, answer):
@@ -303,8 +301,7 @@ def _optimise_3d(centred, config):
     h, steps = (8.0 * np.pi**2 / n) ** (1.0 / 3.0), min(config.max_iterations, STEPS_3D)
     runs = [_plane_sweeps(quaternions[i].tolist(), values[i], h, steps) for i in seeds]
     polished = yield from _lockstep(runs, lambda qs: (centred, mrp_from_quaternion(qs)))
-    mrp, _, converged = min(polished, key=lambda r: (r[1], Rotation(r[0]).angle))
-    return Rotation(mrp), converged
+    return Rotation(min(polished, key=lambda r: (r[1], Rotation(r[0]).angle))[0])
 
 
 def _super_fibonacci(n: int) -> np.ndarray:
@@ -320,7 +317,7 @@ def _plane_sweeps(q, value, h, steps):
 
     A generator like :func:`_golden_section` that yields G(theta) times the kept rotation, at first
     the quaternion ``q``, as 4 floats; a step is kept only if it lowers ``value``, and h halves after
-    each sweep.  Returns ``(mrp, value, converged)``, converged if the last sweep moved no plane.
+    each sweep.  Returns ``(mrp, value)`` of the kept rotation.
     """
 
     def turn(theta):  # G(theta) on a plane turns the kept q by theta/2 in that plane's two pairs
@@ -330,21 +327,10 @@ def _plane_sweeps(q, value, h, steps):
         return product
 
     for _ in range(SWEEPS_3D):
-        moved = False
         for pairs in (((0, 3), (1, 2)), ((2, 0), (1, 3)), ((0, 1), (2, 3))):  # planes (0,1), (0,2), (1,2)
-            theta, f, _ = yield from _probing(_golden_section(-h, h, steps), turn)
+            theta, f = yield from _golden_section(-h, h, steps, turn)
             if f < value:
                 q, value = turn(theta), f
-                moved |= abs(theta) > TOLERANCE
         h /= 2.0
-    return mrp_from_quaternion(q), value, not moved  # the MRP its kept probe was, bit for bit
+    return mrp_from_quaternion(q), value  # the MRP its kept probe was, bit for bit
 
-
-def _probing(run, probe):
-    """The search generator ``run`` with ``probe`` of each point it yields yielded instead."""
-    point = next(run)
-    while True:
-        try:
-            point = run.send((yield probe(point)))
-        except StopIteration as done:
-            return done.value

@@ -471,6 +471,20 @@ def test_overflowing_volumes_exit_3_with_one_line(capsys, huge_csv, argv, messag
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--method", "rotated", "--depth", "1"], ["dump-partition", "--depth", "1", "--rotate"]],
+)
+def test_collinear_rotated_exits_3_with_one_line(capsys, tmp_path, argv):
+    # x = y: the aligned partition would be rounding-thin, and its estimate rounding noise
+    x = np.random.default_rng(0).normal(size=256)
+    path = write_csv(tmp_path / "collinear.csv", np.column_stack([x, x]).tolist())
+    code = main(argv + ["--input", path])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: precondition: samples lie on a line or plane")
+    assert captured.err.count("\n") == 1
+
 @pytest.mark.parametrize("scale", [1e-160, 1e-170])
 @pytest.mark.parametrize("method", ["naive", "marginal"])
 def test_underflowing_volumes_exit_3_with_one_line(capsys, tmp_path, method, scale):
